@@ -1,6 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the synthesis/measure kernels:
+ * normal fills (against the std::normal_distribution reference),
  * dropout, clustered Beta maps, magnitude/clustered pruning, per-map
  * density measurement, nonzero counting, and one end-to-end layer
  * synthesis.  These are the per-key cost the SynthCache amortises
@@ -16,6 +17,8 @@
 #if TENSORDASH_HAVE_BENCHMARK
 
 #include <benchmark/benchmark.h>
+
+#include <random>
 
 #include "common/rng.hh"
 #include "models/model_zoo.hh"
@@ -57,6 +60,40 @@ BM_TensorCopy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * pristine.size());
 }
 BENCHMARK(BM_TensorCopy);
+
+void
+BM_FillNormal(benchmark::State &state)
+{
+    Tensor t = actsTensor();
+    Rng rng(50);
+    for (auto _ : state) {
+        t.fillNormal(rng, 0.0f, 1.0f);
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_FillNormal);
+
+/** The same fill through a fresh std::normal_distribution<float> per
+ * element over std::mt19937_64 — the bit-identical stream the Rng
+ * reproduces, as the A/B reference for BM_FillNormal. */
+void
+BM_FillNormalStdRef(benchmark::State &state)
+{
+    Tensor t = actsTensor();
+    std::mt19937_64 engine(50);
+    for (auto _ : state) {
+        for (size_t i = 0; i < t.size(); ++i) {
+            std::normal_distribution<float> d(0.0f, 1.0f);
+            t[i] = d(engine);
+        }
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_FillNormalStdRef);
 
 void
 BM_Dropout(benchmark::State &state)

@@ -46,7 +46,7 @@ applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
                                      (float)((1.0 - density) * k));
         float *p = base + m * per_map;
         for (size_t i = 0; i < per_map; ++i)
-            p[i] = rng.bernoulli(map_density) ? p[i] : 0.0f;
+            p[i] = zeroUnless(rng.bernoulli(map_density), p[i]);
     }
 }
 

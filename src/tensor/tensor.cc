@@ -48,8 +48,7 @@ Tensor::fill(float value)
 void
 Tensor::fillNormal(Rng &rng, float mean, float stddev)
 {
-    for (auto &v : data_)
-        v = rng.normal(mean, stddev);
+    rng.fillNormal(data_.data(), data_.size(), mean, stddev);
 }
 
 void
@@ -75,7 +74,7 @@ Tensor::dropout(Rng &rng, float p)
     float *v = data_.data();
     size_t n = data_.size();
     for (size_t i = 0; i < n; ++i)
-        v[i] = rng.bernoulli(p) ? 0.0f : v[i];
+        v[i] = zeroUnless(!rng.bernoulli(p), v[i]);
 }
 
 double

@@ -11,6 +11,7 @@
  * (F, C, 1, 1); a bias is (1, C, 1, 1).
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,6 +35,18 @@ struct Shape
 
     std::string str() const;
 };
+
+/**
+ * @p v when @p keep, else +0.0f, selected with a bit mask: the sparsity
+ * kernels' per-element selects ride on random draws no branch predictor
+ * learns, and compilers turn the ternary form into exactly that branch.
+ */
+inline float
+zeroUnless(bool keep, float v)
+{
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(v) &
+                                (0u - (uint32_t)keep));
+}
 
 /** Dense float tensor with NCHW indexing. */
 class Tensor

@@ -1,15 +1,20 @@
 /**
  * @file
- * Unit tests for the common substrate: logging, RNG, stats, tables,
- * thread pool.
+ * Unit tests for the common substrate: logging, RNG (including its
+ * bit-exactness against std::mt19937_64 and libstdc++'s distributions),
+ * stats, tables, thread pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -20,6 +25,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
+#include "tensor/tensor.hh"
 
 namespace tensordash {
 namespace {
@@ -134,6 +140,207 @@ TEST(Rng, ForkIndependent)
         same += child.uniform() == parent.uniform();
     EXPECT_LT(same, 5);
 }
+
+TEST(Rng, EngineMatchesIsoConstant)
+{
+    // [rand.predef]: the 10000th consecutive invocation of a
+    // default-constructed mt19937_64 produces 9981545732273789042.
+    Mt19937_64 e(std::mt19937_64::default_seed);
+    uint64_t v = 0;
+    for (int i = 0; i < 10000; ++i)
+        v = e();
+    EXPECT_EQ(v, 9981545732273789042ull);
+}
+
+/** A bit generator replaying one word, to drive the standard library's
+ * generate_canonical on chosen inputs. */
+struct FixedWord
+{
+    using result_type = uint64_t;
+    uint64_t word;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~(result_type)0; }
+    result_type operator()() { return word; }
+};
+
+TEST(Rng, CanonicalMatchesStdOnRoundingEdges)
+{
+    // Random words almost never land on a float rounding tie (odds
+    // ~2^-39 for the top-bit-set half), so the ties, their neighbours
+    // and the clamp to nextafter(1, 0) are enumerated: at every
+    // leading-bit position, the midpoints above an even and an odd
+    // mantissa, one below and one above each.
+    std::vector<uint64_t> words = {0, 1, 2, 3, ~0ull, ~0ull << 39,
+                                   (~0ull << 39) - 1, 1ull << 63,
+                                   (1ull << 63) - 1};
+    for (int p = 24; p < 64; ++p) {
+        const uint64_t lead = 1ull << p;
+        const uint64_t half = 1ull << (p - 24);
+        for (uint64_t base : {lead, lead + 2 * half})
+            for (uint64_t w : {base + half - 1, base + half, base + half + 1})
+                words.push_back(w);
+    }
+    std::mt19937_64 random(99);
+    for (int i = 0; i < 1000; ++i)
+        words.push_back(random());
+    for (uint64_t w : words) {
+        FixedWord g{w};
+        EXPECT_EQ(std::bit_cast<uint32_t>(Rng::canonical(w)),
+                  std::bit_cast<uint32_t>(
+                      std::generate_canonical<float, 24>(g)))
+            << "word " << w;
+    }
+}
+
+TEST(Rng, EngineFootprintStaysNearStdEngine)
+{
+    EXPECT_LE(sizeof(Rng), sizeof(std::mt19937_64) * 6 / 5);
+}
+
+/**
+ * Differential tests against std::mt19937_64 driven through libstdc++'s
+ * distributions — the streams every committed result was synthesized
+ * from.  Each test walks fills of 1, 311, 312, 313 and 10^5 elements
+ * back to back on one stream, so polar pairs and fork seeds straddle
+ * the engine's refill boundaries at shifting offsets, and after every
+ * fill checks the next draw too: a fill that consumed one word more or
+ * less than the reference fails there even when its own bytes match.
+ */
+class RngExactness : public ::testing::TestWithParam<uint64_t>
+{
+  protected:
+    static constexpr size_t kFillLengths[] = {1, 311, 312, 313, 100000};
+
+    /** The next draw of both streams, through the full-range int
+     * distribution (the raw word's high half). */
+    static void
+    expectNextDrawAgrees(Rng &rng, std::mt19937_64 &ref)
+    {
+        std::uniform_int_distribution<int> d(
+            std::numeric_limits<int>::min(),
+            std::numeric_limits<int>::max());
+        EXPECT_EQ(rng.uniformInt(std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max()),
+                  d(ref));
+    }
+};
+
+TEST_P(RngExactness, EngineMatchesStdMt19937_64)
+{
+    Mt19937_64 e(GetParam());
+    std::mt19937_64 ref(GetParam());
+    for (size_t i = 0; i < 5 * Mt19937_64::kStateWords + 7; ++i)
+        ASSERT_EQ(e(), ref()) << "draw " << i;
+}
+
+TEST_P(RngExactness, FillNormalMatchesFreshStdNormal)
+{
+    const std::pair<float, float> params[] = {
+        {0.0f, 1.0f}, {0.0f, 0.5f}, {0.0f, 0.1f}, {1.5f, 2.0f}};
+    for (auto [mean, stddev] : params) {
+        Rng rng(GetParam());
+        std::mt19937_64 ref(GetParam());
+        for (size_t n : kFillLengths) {
+            Tensor t(1, 1, 1, (int)n);
+            t.fillNormal(rng, mean, stddev);
+            std::vector<float> want(n);
+            for (float &v : want) {
+                std::normal_distribution<float> d(mean, stddev);
+                v = d(ref);
+            }
+            EXPECT_EQ(std::memcmp(t.data(), want.data(),
+                                  n * sizeof(float)), 0)
+                << "N(" << mean << ", " << stddev << ") fill of " << n;
+            EXPECT_EQ(rng.normal(mean, stddev),
+                      std::normal_distribution<float>(mean, stddev)(ref));
+            expectNextDrawAgrees(rng, ref);
+        }
+    }
+}
+
+TEST_P(RngExactness, UniformAndDropoutMatchStdUniformReal)
+{
+    Rng rng(GetParam());
+    std::mt19937_64 ref(GetParam());
+    std::uniform_real_distribution<float> uni(0.0f, 1.0f);
+    for (size_t n : kFillLengths) {
+        std::vector<float> got(n), want(n);
+        for (size_t i = 0; i < n; ++i) {
+            got[i] = rng.uniform();
+            want[i] = uni(ref);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              n * sizeof(float)), 0)
+            << "uniform run of " << n;
+
+        Tensor t(1, 1, 1, (int)n);
+        t.fill(1.0f);
+        t.dropout(rng, 0.3f);
+        for (float &v : want)
+            v = uni(ref) < 0.3f ? 0.0f : 1.0f;
+        EXPECT_EQ(std::memcmp(t.data(), want.data(),
+                              n * sizeof(float)), 0)
+            << "dropout of " << n;
+        expectNextDrawAgrees(rng, ref);
+    }
+}
+
+TEST_P(RngExactness, UniformIntMatchesStdUniformInt)
+{
+    const std::pair<int, int> ranges[] = {{-4, 4}, {0, 1}, {3, 1000003}};
+    Rng rng(GetParam());
+    std::mt19937_64 ref(GetParam());
+    for (auto [lo, hi] : ranges) {
+        std::uniform_int_distribution<int> d(lo, hi);
+        for (size_t i = 0; i < 2000; ++i)
+            ASSERT_EQ(rng.uniformInt(lo, hi), d(ref));
+    }
+    expectNextDrawAgrees(rng, ref);
+}
+
+TEST_P(RngExactness, BetaMatchesStdGammaPair)
+{
+    const std::pair<float, float> shapes[] = {
+        {0.4f, 0.4f}, {2.0f, 5.0f}, {40.0f, 0.8f}};
+    Rng rng(GetParam());
+    std::mt19937_64 ref(GetParam());
+    for (auto [a, b] : shapes) {
+        for (size_t i = 0; i < 500; ++i) {
+            std::gamma_distribution<double> ga((double)a, 1.0);
+            std::gamma_distribution<double> gb((double)b, 1.0);
+            double x = ga(ref);
+            double y = gb(ref);
+            float want = x + y <= 0.0 ? 0.5f : (float)(x / (x + y));
+            ASSERT_EQ(rng.beta(a, b), want);
+        }
+    }
+    expectNextDrawAgrees(rng, ref);
+}
+
+TEST_P(RngExactness, ForkDrawsHighWordThenLowWord)
+{
+    Rng rng(GetParam());
+    std::mt19937_64 ref(GetParam());
+    for (size_t n : kFillLengths) {
+        // Move both streams to a new offset, then fork.
+        Tensor t(1, 1, 1, (int)n);
+        t.fillNormal(rng);
+        for (size_t i = 0; i < n; ++i)
+            std::normal_distribution<float>()(ref);
+        Rng child = rng.fork();
+        uint64_t hi = ref();
+        uint64_t lo = ref();
+        std::mt19937_64 child_ref((hi << 32) ^ lo);
+        std::uniform_real_distribution<float> uni(0.0f, 1.0f);
+        for (size_t i = 0; i < 400; ++i)
+            ASSERT_EQ(child.uniform(), uni(child_ref)) << "after " << n;
+        expectNextDrawAgrees(rng, ref);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RngExactness,
+                         ::testing::Values(0ull, 1ull, 7ull, 0x7d5ull,
+                                           0xdeadbeefcafef00dull));
 
 TEST(StatSet, CountersAccumulate)
 {
