@@ -6,7 +6,7 @@
  * crossbar (idealised), and the Auto side policy that may schedule the
  * weight side for pruned models.  The five design points are one
  * config axis of a declarative sweep, so the whole ablation runs as a
- * single cached, shardable task grid.
+ * single cached task grid.
  */
 
 #include "bench_util.hh"
@@ -16,8 +16,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Interconnect ablation",
                   "movement options vs speedup (geomean over suite)");
 

@@ -9,7 +9,7 @@
  *   planSweep -> planJob (cache probe + LPT shard packing)
  *             -> runSweepCells per shard -> merge
  *
- * and checks three properties:
+ * and checks four properties:
  *
  *   - the merged shard cover is byte-identical to the unsharded
  *     runSweep() of the same spec (counters aside, which count work
@@ -20,7 +20,10 @@
  *     present masks still merge back to the identical sweep;
  *   - a re-plan over the now-warm cache packs zero shards — the
  *     repeat-query path that lets the daemon answer without spawning
- *     a single worker.
+ *     a single worker;
+ *   - a config-axis grid (fig17's five PE-row variants) replayed cold
+ *     is byte-identical to an uncached direct runSweep(), so shards
+ *     that carry cells of every variant reassemble exactly.
  *
  * Output is one parseable [plan]/[replay] line per step; CI greps
  * them.
@@ -157,7 +160,26 @@ main()
     const ShardPlan plan_warm = planJob(plan, cfg.cache_dir, kFleet);
     printPlan("fig13-warm", kFleet, plan.size(), plan_warm);
 
-    return identical && identical_fleet &&
+    // Config-axis replay, cold: with the memo and synthesis cache
+    // cleared every shard simulates, and the merge must match a direct
+    // run that bypasses the result cache.
+    ResultStore::shared().clearMemo();
+    SynthCache::shared().clear();
+    RunConfig cfg17 = cfg;
+    cfg17.accel.max_sampled_macs = fig17SampleBudget();
+    const ModelRunner runner17(cfg17);
+    const SweepSpec spec17 = fig17Spec();
+    const std::vector<GridCellInfo> grid17 = runner17.planSweep(spec17);
+    const ShardPlan plan17 = planJob(grid17, cfg17.cache_dir, kFleet);
+    printPlan("fig17", kFleet, grid17.size(), plan17);
+    SweepResult merged17 = replay("fig17", runner17, spec17, plan17);
+    RunConfig uncached = cfg17;
+    uncached.cache = false;
+    bool identical17 = resultBytes(merged17) ==
+                       resultBytes(ModelRunner(uncached).runSweep(spec17));
+    std::printf("[replay] grid=fig17 identical=%d\n", identical17);
+
+    return identical && identical_fleet && identical17 &&
                    plan_split.split_tasks >= 1 &&
                    plan_warm.shards.empty()
                ? 0

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/tensordash.hh"
 
@@ -33,14 +32,6 @@
 namespace tensordash {
 namespace bench {
 
-/** True when TD_FAST=1 requests reduced sampling. */
-inline bool
-fastMode()
-{
-    const char *v = std::getenv("TD_FAST");
-    return v && v[0] == '1';
-}
-
 /** Per-op dense-MAC sampling cap for model-suite benches. */
 inline uint64_t
 sampleBudget(uint64_t full, uint64_t fast)
@@ -48,12 +39,36 @@ sampleBudget(uint64_t full, uint64_t fast)
     return fastMode() ? fast : full;
 }
 
+/**
+ * Fig. 17's sweep: the paper suite across five PE-row counts (columns
+ * stay at 4).  Shared by the figure and the sweep-service replay so
+ * both run the same grid.
+ */
+inline SweepSpec
+fig17Spec()
+{
+    SweepSpec spec;
+    spec.models = ModelZoo::paperModels();
+    spec.axes = {axis("rows", {1, 2, 4, 8, 16},
+                      [](RunConfig &cfg, int rows) {
+                          cfg.accel.tile.rows = rows;
+                      })};
+    return spec;
+}
+
+/** Fig. 17's per-op dense-MAC sampling cap. */
+inline uint64_t
+fig17SampleBudget()
+{
+    return sampleBudget(250000, 60000);
+}
+
 /** Default accelerator run configuration (paper Table 2). */
 inline RunConfig
 defaultRunConfig()
 {
     RunConfig cfg;
-    cfg.accel.max_sampled_macs = sampleBudget(600000, 120000);
+    cfg.accel.max_sampled_macs = paperSampleBudget();
     // The published evaluation (Figs. 13-21) assumes the streaming
     // dataflow hides off-chip latency, so the paper-figure benches pin
     // the analytic memory model for exact reproduction.  Fig. 22
@@ -84,13 +99,8 @@ defaultRunConfig()
  *                    cells cache under their own keys and never
  *                    touch exact blobs
  *
- * Figures built on one runSweep()/runMany() sweep additionally accept
- * the sharding CLI (see sweepFigure):
- *
- *   --shard i/N      simulate only shard i of the task grid
- *   --shard-out F    write the partial sweep to F (binary)
- *   --merge F        load a shard file (repeatable); merge all,
- *                    render the figure, and simulate nothing
+ * Farming one figure's grid out across processes is td-sweepd's job
+ * (see tools/td_sweepd.cc), not the figure binaries'.
  */
 struct Options
 {
@@ -100,14 +110,10 @@ struct Options
     std::string json;
     std::string cache_dir;
     bool estimate = false;
-    size_t shard_index = 0;
-    size_t shard_count = 1;
-    std::string shard_out;
-    std::vector<std::string> merge;
 };
 
 inline void
-usage(const char *binary, FILE *out = stdout, bool sharding = false)
+usage(const char *binary, FILE *out = stdout)
 {
     std::fprintf(
         out,
@@ -124,31 +130,19 @@ usage(const char *binary, FILE *out = stdout, bool sharding = false)
         "  --estimate       closed-form estimate tier (triage only, "
         "not simulation results)\n",
         binary);
-    if (sharding) {
-        std::fprintf(
-            out,
-            "  --shard i/N      simulate only shard i of N (needs "
-            "--shard-out)\n"
-            "  --shard-out F    write the partial sweep to F\n"
-            "  --merge F        merge shard file F (repeatable) and "
-            "render\n");
-    }
 }
 
-/**
- * Parse the shared CLI; exits on --help, bad values or unknown
- * options.  @p sharding enables --shard/--shard-out/--merge for
- * figures built on a single runMany() sweep.
- */
+/** Parse the shared CLI; exits on --help, bad values or unknown
+ * options. */
 inline Options
-parseArgs(int argc, char **argv, bool sharding = false)
+parseArgs(int argc, char **argv)
 {
     Options opts;
     auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
                          argv[i]);
-            usage(argv[0], stderr, sharding);
+            usage(argv[0], stderr);
             std::exit(1);
         }
         return argv[++i];
@@ -170,7 +164,7 @@ parseArgs(int argc, char **argv, bool sharding = false)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            usage(argv[0], stdout, sharding);
+            usage(argv[0], stdout);
             std::exit(0);
         } else if (arg == "--threads") {
             opts.threads = intValue(i, 0); // 0 = TD_THREADS/auto
@@ -184,47 +178,12 @@ parseArgs(int argc, char **argv, bool sharding = false)
             opts.cache_dir = value(i);
         } else if (arg == "--estimate") {
             opts.estimate = true;
-        } else if (sharding && arg == "--shard") {
-            const char *text = value(i);
-            unsigned long idx = 0, cnt = 0;
-            if (std::sscanf(text, "%lu/%lu", &idx, &cnt) != 2 ||
-                cnt < 1 || cnt > 4096 || idx >= cnt) {
-                std::fprintf(stderr,
-                             "%s: bad value '%s' for --shard (want "
-                             "i/N with i < N <= 4096)\n",
-                             argv[0], text);
-                std::exit(1);
-            }
-            opts.shard_index = idx;
-            opts.shard_count = cnt;
-        } else if (sharding && arg == "--shard-out") {
-            opts.shard_out = value(i);
-        } else if (sharding && arg == "--merge") {
-            opts.merge.push_back(value(i));
         } else {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                          arg.c_str());
-            usage(argv[0], stderr, sharding);
+            usage(argv[0], stderr);
             std::exit(1);
         }
-    }
-    if (opts.shard_count > 1 && !opts.merge.empty()) {
-        std::fprintf(stderr, "%s: --shard and --merge are exclusive\n",
-                     argv[0]);
-        std::exit(1);
-    }
-    if (opts.shard_count > 1 && opts.shard_out.empty()) {
-        std::fprintf(stderr,
-                     "%s: --shard needs --shard-out FILE to store "
-                     "the partial sweep\n", argv[0]);
-        std::exit(1);
-    }
-    if (opts.shard_count > 1 && !opts.csv.empty()) {
-        std::fprintf(stderr,
-                     "%s: --csv has no effect with --shard (a partial "
-                     "sweep renders no table); use it with --merge or "
-                     "an unsharded run\n", argv[0]);
-        std::exit(1);
     }
     return opts;
 }
@@ -394,16 +353,8 @@ reportCache(const SweepResult &sweep)
 }
 
 /**
- * Drive one declarative sweep figure through the sharding CLI:
- *
- *  - --merge F...: load and merge the shard files, render the figure
- *    from the merged sweep, simulate nothing.  Byte-identical CSV to
- *    an unsharded run (the merged grid re-reduces in serial order).
- *  - --shard i/N: simulate only shard i of the full (variant x model
- *    x progress x layer) grid — a config-axis figure shards across
- *    its axis points too — and serialize the partial sweep to
- *    --shard-out; no table is rendered.
- *  - neither: the plain runFigure() loop.
+ * Drive one declarative sweep figure through the runFigure() loop:
+ * simulate @p spec's whole grid, report its cache counters, and render.
  *
  * @param render  callable SweepResult -> Table
  */
@@ -412,65 +363,6 @@ inline void
 sweepFigure(const Options &opts, const ModelRunner &runner,
             const SweepSpec &spec, RenderFn &&render)
 {
-    if (!opts.merge.empty()) {
-        SweepResult merged;
-        for (size_t i = 0; i < opts.merge.size(); ++i) {
-            const std::string &path = opts.merge[i];
-            std::vector<uint8_t> bytes;
-            if (!readFileBytes(path, &bytes))
-                TD_FATAL("cannot read shard file '%s'", path.c_str());
-            SweepResult shard;
-            if (!SweepResult::deserialize(bytes, &shard)) {
-                TD_FATAL("'%s' is not a valid sweep shard (wrong "
-                         "version or corrupt)", path.c_str());
-            }
-            if (i == 0)
-                merged = std::move(shard);
-            else
-                merged.merge(shard);
-        }
-        // Shard files self-agree by fingerprint, but nothing so far
-        // ties them to *this* figure: check them against the grid the
-        // spec expands to (cheap — key hashing, no simulation) before
-        // rendering with figure-local axis metadata.
-        uint64_t expected = runner.sweepFingerprint(spec);
-        if (merged.fingerprint != expected) {
-            TD_FATAL("shard files describe a different sweep "
-                     "(fingerprint %016llx, this figure expects "
-                     "%016llx): produced by another figure, "
-                     "configuration, or format version",
-                     (unsigned long long)merged.fingerprint,
-                     (unsigned long long)expected);
-        }
-        if (!merged.complete()) {
-            TD_FATAL("merged sweep covers only %zu of %zu tasks; "
-                     "pass every shard via --merge",
-                     merged.presentCount(), merged.taskCount());
-        }
-        std::printf("[merge] %zu shard file%s -> %zu tasks\n",
-                    opts.merge.size(),
-                    opts.merge.size() == 1 ? "" : "s",
-                    merged.taskCount());
-        emit(render(merged), opts);
-        return;
-    }
-    if (opts.shard_count > 1) {
-        Shard shard{opts.shard_index, opts.shard_count};
-        auto start = std::chrono::steady_clock::now();
-        SweepResult sweep = runner.runSweep(spec, shard);
-        double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        reportCache(sweep);
-        if (!writeFileBytes(opts.shard_out, sweep.serialize()))
-            TD_FATAL("cannot write shard file '%s'",
-                     opts.shard_out.c_str());
-        std::printf("[shard %zu/%zu] %zu of %zu tasks in %.0f ms -> "
-                    "%s\n", shard.index, shard.count,
-                    sweep.presentCount(), sweep.taskCount(), ms,
-                    opts.shard_out.c_str());
-        return;
-    }
     runFigure(opts, [&] {
         SweepResult sweep = runner.runSweep(spec);
         reportCache(sweep);
@@ -478,10 +370,8 @@ sweepFigure(const Options &opts, const ModelRunner &runner,
     });
 }
 
-/**
- * Single-variant convenience: drive a plain (model x progress) sweep
- * — no config axes — through the same sharding CLI.
- */
+/** Single-variant convenience: drive a plain (model x progress) sweep
+ * — no config axes — the same way. */
 template <typename RenderFn>
 inline void
 sweepFigure(const Options &opts, const ModelRunner &runner,

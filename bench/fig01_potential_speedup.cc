@@ -11,8 +11,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 1",
                   "potential work reduction per training convolution");
     ModelRunner runner(bench::defaultRunConfig(opts));

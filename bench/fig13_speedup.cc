@@ -11,43 +11,12 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 13", "TensorDash speedup over the baseline");
     ModelRunner runner(bench::defaultRunConfig(opts));
     const auto models = ModelZoo::paperModels();
 
-    // Columns come from the training phase's op set, one per op plus
-    // the total — identical strings to the historical fixed header.
-    const std::span<const TrainOp> ops =
-        phaseOps(WorkloadPhase::Training);
-    bench::sweepFigure(opts, runner, models, {},
-                       [&](const SweepResult &sweep) {
-        Table t;
-        std::vector<std::string> header{"model"};
-        for (TrainOp op : ops)
-            header.push_back(trainOpName(op));
-        header.push_back("Total");
-        t.header(header);
-        for (size_t m = 0; m < sweep.modelCount(); ++m) {
-            const ModelRunResult &r = sweep.at(m);
-            std::vector<std::string> row{sweep.models[m]};
-            for (const OpResult &opr : r.ops)
-                row.push_back(fmtSpeedup(opr.speedup()));
-            row.push_back(fmtSpeedup(r.speedup()));
-            t.row(row);
-        }
-        std::vector<std::string> blanks(ops.size(), "");
-        std::vector<std::string> avg{"average"};
-        avg.insert(avg.end(), blanks.begin(), blanks.end());
-        avg.push_back(fmtSpeedup(sweep.meanSpeedup()));
-        t.row(avg);
-        std::vector<std::string> geo{"geomean"};
-        geo.insert(geo.end(), blanks.begin(), blanks.end());
-        geo.push_back(fmtSpeedup(sweep.geomeanSpeedup()));
-        t.row(geo);
-        return t;
-    });
+    bench::sweepFigure(opts, runner, models, {}, fig13Table);
 
     bench::reference(
         "1.95x average speedup; never slows down execution; "

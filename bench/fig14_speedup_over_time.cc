@@ -15,8 +15,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 14", "speedup as training progresses");
     const std::vector<double> points = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                         0.6, 0.7, 0.8, 0.9, 1.0};

@@ -11,8 +11,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 15", "energy efficiency over the baseline");
     ModelRunner runner(bench::defaultRunConfig(opts));
     const auto models = ModelZoo::paperModels();

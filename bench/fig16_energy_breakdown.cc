@@ -11,8 +11,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 16",
                   "energy breakdown normalised to the baseline");
     ModelRunner runner(bench::defaultRunConfig(opts));

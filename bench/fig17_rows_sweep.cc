@@ -5,7 +5,7 @@
  * frequent work-imbalance stalls.
  *
  * One declarative sweep: the row count is a config axis, so all five
- * geometries expand into a single task grid that caches, shards and
+ * geometries expand into a single task grid that caches and
  * load-balances as a unit.
  */
 
@@ -16,19 +16,13 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 17", "speedup vs PE rows per tile (cols = 4)");
 
-    SweepSpec spec;
-    spec.models = ModelZoo::paperModels();
-    spec.axes = {axis("rows", {1, 2, 4, 8, 16},
-                      [](RunConfig &cfg, int rows) {
-                          cfg.accel.tile.rows = rows;
-                      })};
+    const SweepSpec spec = bench::fig17Spec();
 
     RunConfig cfg = bench::defaultRunConfig(opts);
-    cfg.accel.max_sampled_macs = bench::sampleBudget(250000, 60000);
+    cfg.accel.max_sampled_macs = bench::fig17SampleBudget();
     ModelRunner runner(cfg);
 
     bench::sweepFigure(opts, runner, spec,

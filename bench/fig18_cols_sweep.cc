@@ -12,8 +12,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 18",
                   "speedup vs PE columns per tile (rows = 4)");
 

@@ -10,8 +10,8 @@
  * samples — the engine merges a model's layers in serial order, which
  * is exactly the per-level sample merge — and a SweepSpec synthesis
  * hook reproduces the Bernoulli tensors with their historical
- * (level, sample) seeding.  The figure thereby inherits --cache-dir,
- * --shard/--merge and pool-wide load balancing.
+ * (level, sample) seeding.  The figure thereby inherits --cache-dir
+ * and pool-wide load balancing.
  */
 
 #include <cmath>
@@ -77,10 +77,9 @@ synthesizeSample(const RunConfig &, const ModelProfile &model,
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 20", "speedup on randomly sparse tensors");
-    const int samples = bench::fastMode() ? 3 : 10;
+    const int samples = fastMode() ? 3 : 10;
     const int levels = 10; // 0%, 10%, ..., 90%
 
     SweepSpec spec;

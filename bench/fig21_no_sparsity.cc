@@ -14,8 +14,7 @@ using namespace tensordash;
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("GCN (no sparsity)",
                   "behaviour on a model with virtually no zeros");
 

@@ -41,8 +41,7 @@ meanOpStall(const SweepResult &sweep, size_t op, size_t variant)
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv,
-                                           /*sharding=*/true);
+    bench::Options opts = bench::parseArgs(argc, argv);
     bench::banner("Fig. 22",
                   "memory roofline: MAC throughput vs DRAM bandwidth");
     // Single source for the axis values and the rendered rows.

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -46,23 +47,37 @@ static_assert(kMaxPhaseOps <= 8,
               "present masks hold at most 8 op cells per slot");
 
 /**
- * Fully expanded description of one task grid, borrowed from the
- * caller for the duration of a run: the shared model/point lists plus
- * one effective RunConfig and label per config variant.  runMany()
- * supplies a single base variant; runSweep() materialises the cross
- * product of its spec's axes.
+ * Fully expanded description of one task grid: the spec (borrowed for
+ * the duration of a run) plus its resolved progress points and one
+ * effective RunConfig and label per config variant, materialised from
+ * the spec's axes against a base config.
  */
 struct GridLayout
 {
-    std::span<const ModelProfile> models;
-    std::span<const double> points;
-    std::span<const RunConfig> variant_configs;
-    std::span<const std::string> variant_labels;
+    const SweepSpec &spec;
+    std::vector<double> points;
+    std::vector<RunConfig> variant_configs;
+    std::vector<std::string> variant_labels;
 
-    /** Custom synthesis hook (null = ModelZoo::synthesize). */
-    const SweepSpec::SynthesizeFn *synthesize = nullptr;
-    uint64_t synthesis_salt = 0;
-    bool estimate_out_sparsity = true;
+    GridLayout(const SweepSpec &s, const RunConfig &base) : spec(s)
+    {
+        spec.validate();
+        points = spec.progress_points.empty()
+            ? std::vector<double>{base.progress}
+            : spec.progress_points;
+        const size_t nvariants = spec.variantCount();
+        variant_configs.reserve(nvariants);
+        variant_labels.reserve(nvariants);
+        for (size_t v = 0; v < nvariants; ++v) {
+            variant_configs.push_back(spec.variantConfig(base, v));
+            variant_labels.push_back(spec.variantLabel(v));
+        }
+    }
+
+    // Enumerations and tasks point into variant_configs, so a layout
+    // stays where it was built for as long as they are in use.
+    GridLayout(const GridLayout &) = delete;
+    GridLayout &operator=(const GridLayout &) = delete;
 };
 
 /**
@@ -94,8 +109,8 @@ struct SimTask
     size_t layer;
 
     /** Position in the serial (unit, layer) grid: where results land,
-     * fixed before tasks are filtered to a shard and reordered for
-     * load balancing. */
+     * fixed before tasks are filtered to the owned cells and reordered
+     * for load balancing. */
     size_t slot;
 
     /** Offset of this layer's first op cell in the flattened per-op
@@ -210,9 +225,9 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     Accelerator accel(accel_cfg);
 
     auto synth = [&] {
-        return grid.synthesize
-            ? (*grid.synthesize)(config, *unit.model, task.layer,
-                                 unit.progress)
+        return grid.spec.synthesize
+            ? grid.spec.synthesize(config, *unit.model, task.layer,
+                                   unit.progress)
             : synthesizeLayer(unit, task.layer);
     };
     std::shared_ptr<const SynthTensors> cached;
@@ -246,7 +261,7 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     // is dense.  Raw-tensor sweeps (estimate_out_sparsity false) write
     // back dense instead.
     double out_sparsity[3] = {0.0, 0.0, 0.0};
-    if (grid.estimate_out_sparsity) {
+    if (grid.spec.estimate_out_sparsity) {
         out_sparsity[(int)TrainOp::Forward] = st->act_sparsity;
         out_sparsity[(int)TrainOp::BackwardData] = st->grad_sparsity;
     }
@@ -314,7 +329,7 @@ estimateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     CellSparsity sp =
         effectiveCellSparsity(model, task.layer, unit.progress);
     double out_sparsity[3] = {0.0, 0.0, 0.0};
-    if (grid.estimate_out_sparsity) {
+    if (grid.spec.estimate_out_sparsity) {
         out_sparsity[(int)TrainOp::Forward] = sp.act;
         out_sparsity[(int)TrainOp::BackwardData] = sp.grad;
     }
@@ -331,46 +346,27 @@ estimateTaskOps(const GridLayout &grid, const SweepUnit &unit,
 /**
  * Content hash of one task grid: format version, variant labels,
  * model names/layer counts, progress points, and every cell's TaskKey
- * in serial (variant, model, progress, layer) order.  Shards merge
- * only when their fingerprints match, and the bench merge driver
- * checks loaded shard files against the expected grid's fingerprint.
- * A variant's phase shapes the fingerprint through its cell keys (an
- * inference variant contributes Forward keys only), so a training and
- * an inference sweep never merge even though they share cells.
- *
- * @param keys the grid's per-op cell keys in serial order when the
- *        caller already computed them (runGrid); null recomputes them
- *        (the simulation-free sweepFingerprint path).
+ * (@p keys, in serial (variant, model, progress, layer, op) order).
+ * Shards merge only when their fingerprints match.  A variant's phase
+ * shapes the fingerprint through its cell keys (an inference variant
+ * contributes Forward keys only), so a training and an inference sweep
+ * never merge even though they share cells.
  */
 uint64_t
-gridFingerprint(const GridLayout &grid,
-                const std::vector<TaskKey> *keys = nullptr)
+gridFingerprint(const GridLayout &grid, const std::vector<TaskKey> &keys)
 {
     FnvHasher fh;
     fh.u64(kResultFormatVersion);
     for (const std::string &label : grid.variant_labels)
         fh.str(label);
-    for (const ModelProfile &model : grid.models) {
+    for (const ModelProfile &model : grid.spec.models) {
         fh.str(model.name);
         fh.u64(model.layers.size());
     }
     for (double p : grid.points)
         fh.f64(p);
-    if (keys) {
-        for (const TaskKey &k : *keys)
-            fh.u64(k.value);
-        return fh.value();
-    }
-    for (const RunConfig &config : grid.variant_configs)
-        for (const ModelProfile &model : grid.models)
-            for (double progress : grid.points)
-                for (size_t l = 0; l < model.layers.size(); ++l)
-                    for (TrainOp op : phaseOps(config.phase))
-                        fh.u64(TaskKey::forOp(
-                                   config, model, l, op, progress,
-                                   grid.synthesis_salt,
-                                   grid.estimate_out_sparsity)
-                                   .value);
+    for (const TaskKey &k : keys)
+        fh.u64(k.value);
     return fh.value();
 }
 
@@ -419,7 +415,7 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
     // geometry), not just non-emptiness: a bad layer spec fails here
     // with its model and layer named instead of deep in synthesis or
     // lowering.
-    for (const ModelProfile &model : grid.models)
+    for (const ModelProfile &model : grid.spec.models)
         model.validate();
 
     // Fork the per-layer streams in serial layer order, which makes
@@ -428,9 +424,9 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
     // streams must match what a single-variant run of its config
     // forks.
     e.grid_rngs.reserve(grid.variant_configs.size() *
-                        grid.models.size());
+                        grid.spec.models.size());
     for (const RunConfig &config : grid.variant_configs) {
-        for (const ModelProfile &model : grid.models) {
+        for (const ModelProfile &model : grid.spec.models) {
             Rng rng(config.seed * 0x2545f4914f6cdd1dull + 1);
             std::vector<Rng> layer_rngs;
             layer_rngs.reserve(model.layers.size());
@@ -448,7 +444,7 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
     size_t overridden = 0;
     for (const RunConfig &config : grid.variant_configs)
         if (config.batch_override > 0)
-            for (const ModelProfile &model : grid.models)
+            for (const ModelProfile &model : grid.spec.models)
                 overridden += config.batch_override != model.batch;
     e.batch_models.reserve(overridden);
 
@@ -460,8 +456,8 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
         const RunConfig &config = grid.variant_configs[v];
         std::span<const TrainOp> ops = phaseOps(config.phase);
         const bool estimate = config.fidelity == Fidelity::Estimate;
-        for (size_t m = 0; m < grid.models.size(); ++m) {
-            const ModelProfile *model = &grid.models[m];
+        for (size_t m = 0; m < grid.spec.models.size(); ++m) {
+            const ModelProfile *model = &grid.spec.models[m];
             if (config.batch_override > 0 &&
                 config.batch_override != model->batch) {
                 e.batch_models.push_back(*model);
@@ -477,14 +473,14 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
                 unit.progress = progress;
                 unit.first_task = e.tasks.size();
                 unit.layer_rngs =
-                    &e.grid_rngs[v * grid.models.size() + m];
+                    &e.grid_rngs[v * grid.spec.models.size() + m];
                 for (size_t l = 0; l < model->layers.size(); ++l) {
                     CellSparsity sp =
                         effectiveCellSparsity(*model, l, progress);
                     uint64_t skey =
-                        SynthKey::forCell(config, grid.models[m], l,
+                        SynthKey::forCell(config, grid.spec.models[m], l,
                                           progress,
-                                          grid.synthesis_salt)
+                                          grid.spec.synthesis_salt)
                             .value;
                     // Estimate-tier tasks never synthesize; exact
                     // tasks pay synthesis once per key when the cache
@@ -514,9 +510,9 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
                                        skey, cost});
                     for (TrainOp op : ops)
                         e.keys.push_back(TaskKey::forOp(
-                            config, grid.models[m], l, op, progress,
-                            grid.synthesis_salt,
-                            grid.estimate_out_sparsity));
+                            config, grid.spec.models[m], l, op, progress,
+                            grid.spec.synthesis_salt,
+                            grid.spec.estimate_out_sparsity));
                 }
                 e.units.push_back(unit);
             }
@@ -525,35 +521,33 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
     return e;
 }
 
+/** The units of an enumeration point into @p grid's variant configs:
+ * a temporary layout would leave them dangling. */
+GridEnumeration enumerateGrid(const GridLayout &&grid,
+                              bool synth_cache_on) = delete;
+
 /**
  * Simulate one fully expanded task grid: the shared engine behind
- * runMany(), runSweep() and runSweepCells().  @p exec supplies the
- * execution knobs (threads, cache, cache_dir); what is simulated
- * comes entirely from @p grid's per-variant configs.  Ownership comes
- * from @p shard (modulo partition over layer slots) or — when
- * @p cell_mode — from @p cells, global op-cell indices that may split
- * one layer slot across runs.
+ * runSweep() and runSweepCells().  @p exec supplies the execution
+ * knobs (threads, cache, cache_dir); what is simulated comes entirely
+ * from @p grid's per-variant configs.  @p cells lists the owned
+ * global op-cell indices (which may split one layer slot across
+ * runs); nullopt owns the whole grid.
  */
 SweepResult
-runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
-        bool cell_mode, std::span<const size_t> cells,
+runGrid(const RunConfig &exec, const GridLayout &grid,
+        std::optional<std::span<const size_t>> cells,
         const RunHooks &hooks)
 {
     // A negative thread count would silently degrade to "whole pool"
     // inside the pool sizing path; reject it here where the request
-    // was made.  Likewise an out-of-range shard would silently own
-    // zero cells.
+    // was made.
     TD_ASSERT(exec.threads >= 0,
               "RunConfig::threads must be >= 0 (0 = the shared pool "
               "default), got %d", exec.threads);
-    shard.validate();
-    if (cell_mode)
-        TD_ASSERT(shard.all(),
-                  "explicit cell ownership and shard partitioning "
-                  "are mutually exclusive");
     for (const RunConfig &config : grid.variant_configs)
         TD_ASSERT(config.fidelity == Fidelity::Exact ||
-                      grid.synthesize == nullptr,
+                      !grid.spec.synthesize,
                   "Fidelity::Estimate models the zoo's synthesis "
                   "statistically and cannot honour a custom "
                   "synthesize hook; run this sweep at "
@@ -563,14 +557,13 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
     sweep.progress_points.assign(grid.points.begin(),
                                  grid.points.end());
     sweep.memory_model = exec.accel.memory_model;
-    sweep.shard = shard;
     for (size_t v = 0; v < grid.variant_configs.size(); ++v) {
         sweep.variants.push_back(grid.variant_labels[v]);
         sweep.variant_memory_models.push_back(
             grid.variant_configs[v].accel.memory_model);
         sweep.variant_phases.push_back(grid.variant_configs[v].phase);
     }
-    for (const ModelProfile &model : grid.models) {
+    for (const ModelProfile &model : grid.spec.models) {
         sweep.models.push_back(model.name);
         sweep.model_layer_counts.push_back(
             (uint32_t)model.layers.size());
@@ -592,19 +585,24 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
 
     // The sweep fingerprint pins the whole grid: shards merge only
     // when variants, models, points and every task key agree.
-    sweep.fingerprint = gridFingerprint(grid, &keys);
+    sweep.fingerprint = gridFingerprint(grid, keys);
 
     sweep.layer_results.resize(tasks.size());
     sweep.present.assign(tasks.size(), 0);
 
-    // Explicit cell ownership: fold the owned op-cell indices into
-    // per-slot masks (an adaptively split giant layer scatters its
-    // cells across runs); tasks whose mask stays empty are not owned
-    // at all.
-    std::vector<uint8_t> own_mask;
-    if (cell_mode) {
-        own_mask.assign(tasks.size(), 0);
-        for (size_t c : cells) {
+    // Per-slot op masks of the owned cells: every slot's full mask, or
+    // the owned op-cell indices folded per slot (an adaptively split
+    // giant layer scatters its cells across runs).  Tasks whose mask
+    // stays empty are not owned at all.
+    std::vector<uint8_t> own_mask(tasks.size(), 0);
+    if (!cells) {
+        for (const SimTask &task : tasks) {
+            const size_t nops =
+                phaseOps(units[task.unit].config->phase).size();
+            own_mask[task.slot] = (uint8_t)((1u << nops) - 1);
+        }
+    } else {
+        for (size_t c : *cells) {
             TD_ASSERT(c < keys.size(),
                       "owned cell %zu out of range (grid has %zu op "
                       "cells)", c, keys.size());
@@ -619,17 +617,15 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
         }
     }
 
-    // This shard's slice of the grid, claimed costliest-first so a
-    // huge layer picked up late cannot leave the pool tailing on one
+    // The owned slice of the grid, claimed costliest-first so a huge
+    // layer picked up late cannot leave the pool tailing on one
     // thread; tasks from every config variant interleave in the one
     // claim loop.  Results land in pre-assigned slots and the reduce
-    // walks serial order, so neither the shard split nor the claim
+    // walks serial order, so neither the cell partition nor the claim
     // order ever affects the output.
     std::vector<SimTask> owned;
-    owned.reserve(tasks.size() / shard.count + 1);
     for (const SimTask &task : tasks)
-        if (cell_mode ? own_mask[task.slot] != 0
-                      : shard.owns(task.slot))
+        if (own_mask[task.slot] != 0)
             owned.push_back(task);
     std::stable_sort(owned.begin(), owned.end(),
                      [](const SimTask &a, const SimTask &b) {
@@ -681,9 +677,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
             const SweepUnit &unit = units[task.unit];
             std::span<const TrainOp> ops =
                 phaseOps(unit.config->phase);
-            const uint32_t want = cell_mode
-                ? own_mask[task.slot]
-                : (1u << ops.size()) - 1;
+            const uint32_t want = own_mask[task.slot];
             LayerResult &out = sweep.layer_results[task.slot];
             out.cells.resize(ops.size());
             uint32_t missing = 0;
@@ -746,7 +740,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
 
     // Reduce: merge in serial (layer, op) order, making the aggregates
     // bit-identical to a single-threaded, uncached, unsharded run.  A
-    // partial shard skips this; its results materialise on merge().
+    // partial sweep skips this; its results materialise on merge().
     if (sweep.complete())
         sweep.reduce();
     return sweep;
@@ -1141,10 +1135,8 @@ SweepResult::merge(const SweepResult &other)
     simulated += other.simulated;
     estimated += other.estimated;
     fission_subtasks += other.fission_subtasks;
-    if (complete()) {
-        shard = Shard{};
+    if (complete())
         reduce();
-    }
 }
 
 std::vector<uint8_t>
@@ -1169,8 +1161,6 @@ SweepResult::serialize() const
     w.u32((uint32_t)progress_points.size());
     for (double p : progress_points)
         w.f64(p);
-    w.u32((uint32_t)shard.index);
-    w.u32((uint32_t)shard.count);
     w.u64(cache_hits);
     w.u64(simulated);
     w.u64(estimated);
@@ -1214,8 +1204,6 @@ SweepResult::deserialize(const std::vector<uint8_t> &bytes,
     uint32_t npoints = r.u32();
     for (uint32_t p = 0; r.ok() && p < npoints; ++p)
         s.progress_points.push_back(r.f64());
-    s.shard.index = r.u32();
-    s.shard.count = r.u32();
     s.cache_hits = r.u64();
     s.simulated = r.u64();
     s.estimated = r.u64();
@@ -1279,67 +1267,19 @@ ModelRunner::runByName(const std::string &name) const
     return run(model);
 }
 
-namespace {
-
-/** Owned storage behind a spec's GridLayout: the resolved progress
- * points and every variant's effective config and label. */
-struct MaterializedSweep
-{
-    std::vector<double> points;
-    std::vector<RunConfig> configs;
-    std::vector<std::string> labels;
-
-    MaterializedSweep(const SweepSpec &spec, const RunConfig &base)
-    {
-        spec.validate();
-        points = spec.progress_points.empty()
-            ? std::vector<double>{base.progress}
-            : spec.progress_points;
-        const size_t nvariants = spec.variantCount();
-        configs.reserve(nvariants);
-        labels.reserve(nvariants);
-        for (size_t v = 0; v < nvariants; ++v) {
-            configs.push_back(spec.variantConfig(base, v));
-            labels.push_back(spec.variantLabel(v));
-        }
-    }
-
-    /** Layout borrowing this storage (must not outlive it). */
-    GridLayout
-    layout(const SweepSpec &spec) const
-    {
-        GridLayout grid;
-        grid.models = spec.models;
-        grid.points = points;
-        grid.variant_configs = configs;
-        grid.variant_labels = labels;
-        grid.synthesize =
-            spec.synthesize ? &spec.synthesize : nullptr;
-        grid.synthesis_salt = spec.synthesis_salt;
-        grid.estimate_out_sparsity = spec.estimate_out_sparsity;
-        return grid;
-    }
-};
-
-} // namespace
-
 SweepResult
-ModelRunner::runSweep(const SweepSpec &spec, Shard shard,
-                      const RunHooks &hooks) const
+ModelRunner::runSweep(const SweepSpec &spec, const RunHooks &hooks) const
 {
-    MaterializedSweep mat(spec, config_);
-    return runGrid(config_, mat.layout(spec), shard, false, {},
-                   hooks);
+    const GridLayout grid(spec, config_);
+    return runGrid(config_, grid, std::nullopt, hooks);
 }
 
 std::vector<GridCellInfo>
 ModelRunner::planSweep(const SweepSpec &spec) const
 {
-    MaterializedSweep mat(spec, config_);
-    GridLayout grid = mat.layout(spec);
+    const GridLayout grid(spec, config_);
     GridEnumeration e = enumerateGrid(
-        grid,
-        SynthCache::resolveBudget(config_.synth_cache_bytes) > 0);
+        grid, SynthCache::resolveBudget(config_.synth_cache_bytes) > 0);
     std::vector<GridCellInfo> cells;
     cells.reserve(e.keys.size());
     for (const SimTask &task : e.tasks) {
@@ -1366,70 +1306,19 @@ ModelRunner::runSweepCells(const SweepSpec &spec,
                            std::span<const size_t> cells,
                            const RunHooks &hooks) const
 {
-    MaterializedSweep mat(spec, config_);
-    return runGrid(config_, mat.layout(spec), Shard{}, true, cells,
-                   hooks);
-}
-
-uint64_t
-ModelRunner::sweepFingerprint(const SweepSpec &spec) const
-{
-    MaterializedSweep mat(spec, config_);
-    return gridFingerprint(mat.layout(spec));
-}
-
-SweepResult
-ModelRunner::refine(const SweepSpec &spec,
-                    const SweepResult &estimates, double lo,
-                    double hi) const
-{
-    TD_ASSERT(lo <= hi, "refine band [%g, %g] is empty", lo, hi);
-    TD_ASSERT(estimates.complete(),
-              "refine needs a complete estimate sweep (%zu of %zu "
-              "cells present); merge its shards first",
-              estimates.presentCount(), estimates.taskCount());
-    TD_ASSERT(estimates.modelCount() == spec.models.size(),
-              "estimate sweep covers %zu models but the spec names "
-              "%zu: refine wants the Estimate-tier run of this very "
-              "spec", estimates.modelCount(), spec.models.size());
-    SweepSpec sub = spec;
-    sub.models.clear();
-    for (size_t m = 0; m < spec.models.size(); ++m) {
-        bool in_band = false;
-        for (size_t v = 0;
-             !in_band && v < estimates.variantCount(); ++v)
-            for (size_t p = 0;
-                 !in_band && p < estimates.pointCount(); ++p) {
-                double s = estimates.at(m, p, v).speedup();
-                in_band = s >= lo && s <= hi;
-            }
-        if (in_band)
-            sub.models.push_back(spec.models[m]);
-    }
-    if (sub.models.empty())
-        return SweepResult{};
-    RunConfig exact = config_;
-    exact.fidelity = Fidelity::Exact;
-    return ModelRunner(exact).runSweep(sub);
+    const GridLayout grid(spec, config_);
+    return runGrid(config_, grid, cells, hooks);
 }
 
 SweepResult
 ModelRunner::runMany(std::span<const ModelProfile> models,
-                     std::span<const double> progress_points,
-                     Shard shard) const
+                     std::span<const double> progress_points) const
 {
-    const std::vector<double> points = progress_points.empty()
-        ? std::vector<double>{config_.progress}
-        : std::vector<double>(progress_points.begin(),
-                              progress_points.end());
-    const std::string base_label; // single unlabelled base variant
-
-    GridLayout grid;
-    grid.models = models;
-    grid.points = points;
-    grid.variant_configs = std::span(&config_, 1);
-    grid.variant_labels = std::span(&base_label, 1);
-    return runGrid(config_, grid, shard, false, {}, {});
+    SweepSpec spec;
+    spec.models.assign(models.begin(), models.end());
+    spec.progress_points.assign(progress_points.begin(),
+                                progress_points.end());
+    return runSweep(spec);
 }
 
 } // namespace tensordash

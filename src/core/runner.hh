@@ -56,13 +56,13 @@
  *    covers only the synthesis-affecting inputs, so the N variants of
  *    a geometry axis synthesize each (model, progress, layer) cell
  *    once and share the tensors.
- *  - Sharding: runSweep()/runMany() accept a Shard{index, count} that
- *    deterministically partitions the task grid.  A partial
- *    SweepResult serializes to bytes, travels between
- *    processes/machines, and merge() reassembles the grid; because the
- *    final reduce always walks the same serial (layer, op) order over
- *    the same per-layer results, a merged run is bit-identical to a
- *    single-process one.
+ *  - Partitioning: planSweep() enumerates the grid's op cells and
+ *    runSweepCells() simulates any subset of them (the sweep service's
+ *    planner packs those cell lists into worker shards).  A partial
+ *    SweepResult serializes to bytes, travels between processes, and
+ *    merge() reassembles the grid; because the final reduce always
+ *    walks the same serial (layer, op) order over the same per-layer
+ *    results, a merged run is bit-identical to a single-process one.
  */
 
 #include <array>
@@ -108,8 +108,12 @@ namespace tensordash {
  * planner splits giant layers below task grain and reassembles them
  * at merge.  Serialized slots carry the mask followed by only the
  * masked cells.
+ *
+ * v6: the modulo layer-slot partition was removed (cell lists are
+ * the one way to partition a sweep), so serialized sweep headers no
+ * longer carry the two shard u32s.
  */
-inline constexpr uint32_t kResultFormatVersion = 5;
+inline constexpr uint32_t kResultFormatVersion = 6;
 
 /**
  * Result fidelity tier of a run.
@@ -119,8 +123,7 @@ inline constexpr uint32_t kResultFormatVersion = 5;
  * closed-form OpEstimator (see sim/estimator.hh) — no tensors, no
  * scheduling, typically orders of magnitude faster.  Estimates are
  * for *triage* (ranking design points, fencing the interesting band
- * for ModelRunner::refine()), never for quoting as simulation
- * results.
+ * for an exact rerun), never for quoting as simulation results.
  *
  * Estimate-tier cells are content addressed under their own key salt
  * (plus the estimator's model version), so cached estimates and exact
@@ -161,7 +164,7 @@ struct RunConfig
      * Result fidelity: Exact (the default) simulates cycle-exactly;
      * Estimate serves every cell from the closed-form estimator.
      * Sweep it as a config axis to triage a huge grid first and
-     * refine() only the interesting band exactly.
+     * rerun only the interesting band exactly.
      */
     Fidelity fidelity = Fidelity::Exact;
 
@@ -291,8 +294,8 @@ struct OpCellResult
 
 /**
  * One layer's op set under its variant's workload phase, in phaseOps()
- * order (the unit of sharding — a grid slot is a whole layer, whose
- * cells were looked up or simulated per op).
+ * order (one grid slot: a whole layer, whose cells were looked up,
+ * simulated and partitioned per op).
  */
 struct LayerResult
 {
@@ -301,35 +304,6 @@ struct LayerResult
     /** Bit-exact binary round-trip (shard files). */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
-};
-
-/**
- * Deterministic partition of the (variant x model x progress x layer)
- * task grid: shard i of N owns every task whose serial grid slot is
- * congruent to i mod N.  The default {0, 1} owns the whole grid.
- */
-struct Shard
-{
-    size_t index = 0;
-    size_t count = 1;
-
-    bool all() const { return count <= 1; }
-    bool owns(size_t slot) const { return count <= 1 || slot % count == index; }
-
-    /**
-     * Panic unless this is a well-formed partition (count >= 1 and
-     * index < count).  Every sweep entry point validates up front: an
-     * out-of-range shard owns zero cells, and silently writing an
-     * empty shard file wastes a fleet slot and fails only at merge
-     * time, far from the mistake.
-     */
-    void
-    validate() const
-    {
-        TD_ASSERT(count >= 1 && index < count,
-                  "invalid shard %zu/%zu (want index < count, "
-                  "count >= 1)", index, count);
-    }
 };
 
 /**
@@ -378,7 +352,7 @@ struct RunHooks
  */
 struct GridCellInfo
 {
-    /** Layer-task grid slot the cell belongs to (the Shard unit). */
+    /** Layer-task grid slot the cell belongs to (one synthesis). */
     size_t slot = 0;
 
     /** Which op cell within the slot, in phaseOps() order. */
@@ -698,10 +672,6 @@ struct SweepResult
      */
     uint64_t fingerprint = 0;
 
-    /** Grid partition this sweep was simulated under ({0, 1} once
-     * complete). */
-    Shard shard;
-
     /** Raw per-layer task results in serial grid order (the unit of
      * sharding/caching); present[slot] is an op-cell bitmask (bit j =
      * the slot's j-th phase op) marking the cells this sweep holds —
@@ -829,19 +799,16 @@ class ModelRunner
      * runner's RunConfig and simulate the whole (variant x model x
      * progress x layer) grid in one batch over the shared pool — every
      * axis point interleaves in one costliest-first claim loop, every
-     * cell consults the result cache, and the grid shards as a unit.
+     * cell consults the result cache.
      *
      * @param spec  models, progress points and config axes
-     * @param shard grid partition to simulate (default: the whole
-     *              grid).  A partial shard's sweep has no model-level
-     *              results until merge()d with its siblings.
      * @param hooks optional progress callback and cancellation flag
      *              (execution-only; see RunHooks)
      * @return variant-major SweepResult; each cell is bit-identical to
      *         a single-variant run of its effective config at any
-     *         thread count, shard split, or cache state
+     *         thread count, cell partition, or cache state
      */
-    SweepResult runSweep(const SweepSpec &spec, Shard shard = {},
+    SweepResult runSweep(const SweepSpec &spec,
                          const RunHooks &hooks = {}) const;
 
     /**
@@ -849,19 +816,19 @@ class ModelRunner
      * runner's config: every (variant x model x progress x layer x op)
      * cell in serial order — its grid slot, TaskKey, SynthKey and
      * closed-form cost estimates — computed without simulating
-     * anything.  Entry i has cell == i, and hashing the plan's keys
-     * reproduces sweepFingerprint(spec) exactly: the plan and the
-     * execution describe one and the same grid.  This is what the
-     * sweep service's shard planner sizes worker shards from.
+     * anything.  Entry i has cell == i, and its keys are exactly the
+     * ones runSweep(spec) fingerprints: the plan and the execution
+     * describe one and the same grid.  This is what the sweep
+     * service's shard planner sizes worker shards from.
      */
     std::vector<GridCellInfo> planSweep(const SweepSpec &spec) const;
 
     /**
      * Simulate exactly the op cells named by @p cells (global serial
-     * cell indices from planSweep()) of @p spec's grid — the
-     * externally-planned companion of runSweep's modulo sharding,
-     * letting a scheduler place individual op cells of a giant layer
-     * on different workers.  The returned sweep carries the full
+     * cell indices from planSweep()) of @p spec's grid — the one way
+     * to partition a sweep, letting a scheduler place individual op
+     * cells of a giant layer on different workers.  An index outside
+     * the grid panics.  The returned sweep carries the full
      * grid's fingerprint with only the named cells present (an empty
      * @p cells yields an all-absent shell to merge() worker shards
      * into); merging any cell-disjoint cover of the grid is
@@ -872,17 +839,6 @@ class ModelRunner
                               const RunHooks &hooks = {}) const;
 
     /**
-     * Fingerprint of the task grid @p spec expands to under this
-     * runner's config, computed without simulating anything (key
-     * hashing only) — always equal to runSweep(spec).fingerprint.
-     * The bench merge driver checks shard files against it, so
-     * feeding a figure shards produced by a different figure or
-     * configuration fails with a diagnostic instead of rendering
-     * garbage.
-     */
-    uint64_t sweepFingerprint(const SweepSpec &spec) const;
-
-    /**
      * Batch API, single-variant special case of runSweep(): simulate
      * every model at every progress point under this runner's config
      * alone.
@@ -891,27 +847,11 @@ class ModelRunner
      * @param progress_points training points; empty = the configured
      *                        progress.  All points use the configured
      *                        seed, so cells differ only in progress.
-     * @param shard           grid partition to simulate
      * @return model-major SweepResult with one variant labelled ""
      */
     SweepResult runMany(std::span<const ModelProfile> models,
-                        std::span<const double> progress_points = {},
-                        Shard shard = {}) const;
-
-    /**
-     * Triage-and-refine: given @p estimates — a completed
-     * Fidelity::Estimate run of @p spec under this runner's config —
-     * re-run *exactly* the models whose estimated TensorDash speedup
-     * falls inside [@p lo, @p hi] at any (progress point, variant).
-     * Models outside the band (clearly uninteresting, or so clearly
-     * winning that an exact number changes nothing) are skipped
-     * entirely; the returned sweep covers the in-band subset of
-     * models under the same axes and points at Fidelity::Exact.
-     * Returns an empty SweepResult when no model lands in the band.
-     */
-    SweepResult refine(const SweepSpec &spec,
-                       const SweepResult &estimates, double lo,
-                       double hi) const;
+                        std::span<const double> progress_points = {})
+        const;
 
   private:
     RunConfig config_;

@@ -29,6 +29,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
+#include "core/figures.hh"
 #include "core/result_store.hh"
 #include "core/runner.hh"
 #include "core/synth_cache.hh"

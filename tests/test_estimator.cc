@@ -3,8 +3,8 @@
  * Tests for the closed-form estimator tier: estimator-vs-exact error
  * bounds across the zoo under both memory models, estimate-tier
  * TaskKey isolation (estimates can never shadow exact results), the
- * batch-override axis, triage-and-refine, and bit-identity of the
- * estimator-keyed claim order at any thread count.
+ * batch-override axis, and bit-identity of the estimator-keyed claim
+ * order at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +43,7 @@ tinyModel()
 }
 
 /** A second model whose sparsity (and therefore speedup) clearly
- * differs from tinyModel's, for the refine band tests. */
+ * differs from tinyModel's. */
 ModelProfile
 denseModel()
 {
@@ -293,45 +293,6 @@ TEST(BatchAxis, SweepsEveryModelThroughTheListedBatches)
               sweep.at(0, 0, 1).total.td_cycles);
     EXPECT_EQ(direct.at(0).energy_td.total(),
               sweep.at(0, 0, 1).energy_td.total());
-    ResultStore::shared().clearMemo();
-}
-
-TEST(Refine, ReRunsExactlyTheInBandModels)
-{
-    ResultStore::shared().clearMemo();
-    RunConfig cfg = estConfig(11007);
-    cfg.fidelity = Fidelity::Estimate;
-    SweepSpec spec;
-    spec.models = {tinyModel(), denseModel()};
-    ModelRunner triage(cfg);
-    SweepResult est = triage.runSweep(spec);
-    double sparse_sp = est.at(0).speedup();
-    double dense_sp = est.at(1).speedup();
-    ASSERT_GT(sparse_sp, dense_sp);
-
-    // A band holding only the sparse model re-runs only it — exactly.
-    double mid = 0.5 * (sparse_sp + dense_sp);
-    SweepResult refined =
-        triage.refine(spec, est, mid, sparse_sp + 1.0);
-    ASSERT_EQ(refined.modelCount(), 1u);
-    EXPECT_EQ(refined.models[0], "tiny");
-    EXPECT_EQ(refined.estimated, 0u);
-    EXPECT_EQ(refined.simulated, refined.cellCount());
-
-    // The refined result is the exact simulation, byte for byte.
-    RunConfig exact_cfg = cfg;
-    exact_cfg.fidelity = Fidelity::Exact;
-    exact_cfg.cache = false;
-    SweepSpec sub;
-    sub.models = {tinyModel()};
-    SweepResult direct = ModelRunner(exact_cfg).runSweep(sub);
-    EXPECT_EQ(contentBytes(refined), contentBytes(direct));
-
-    // An empty band refines nothing.
-    SweepResult none = triage.refine(spec, est, dense_sp + 0.001,
-                                     mid - 0.001);
-    EXPECT_EQ(none.modelCount(), 0u);
-    EXPECT_EQ(none.taskCount(), 0u);
     ResultStore::shared().clearMemo();
 }
 

@@ -3,7 +3,7 @@
  * Tests for content-addressed simulation results: FNV fingerprinting
  * and binary serialization primitives, TaskKey stability and
  * sensitivity, ResultStore memo/disk caching (cached run bit-identical
- * to a cold run), and sharded sweep execution (N-way shard merges
+ * to a cold run), and sharded sweep execution (N-way cell-list merges
  * bit-identical to an unsharded run under both memory models).
  */
 
@@ -85,6 +85,23 @@ contentBytes(SweepResult s)
     s.cache_hits = 0;
     s.simulated = 0;
     return s.serialize();
+}
+
+/** Partial sweep i of n over @p models at @p points: the op cells of
+ * every planSweep() layer slot congruent to i mod n. */
+SweepResult
+sliceSweep(const RunConfig &cfg, const std::vector<ModelProfile> &models,
+           const std::vector<double> &points, size_t i, size_t n)
+{
+    SweepSpec spec;
+    spec.models = models;
+    spec.progress_points = points;
+    ModelRunner runner(cfg);
+    std::vector<size_t> cells;
+    for (const GridCellInfo &c : runner.planSweep(spec))
+        if (c.slot % n == i)
+            cells.push_back(c.cell);
+    return runner.runSweepCells(spec, cells);
 }
 
 /** Fresh (empty, created) temp directory for disk-cache tests. */
@@ -725,8 +742,7 @@ TEST(ShardedSweep, NWayMergeIsBitIdenticalUnderBothMemoryModels)
         for (size_t n : {2u, 3u}) {
             std::vector<SweepResult> shards;
             for (size_t i = 0; i < n; ++i)
-                shards.push_back(
-                    runner.runMany(models, points, Shard{i, n}));
+                shards.push_back(sliceSweep(cfg, models, points, i, n));
 
             // Partial shards expose no model-level results yet.  Each
             // owned task slot simulates its three training-op cells.
@@ -779,8 +795,7 @@ TEST(ShardedSweep, SerializeDeserializeRoundTrips)
               full.at(0).energy_base.total());
 
     // A partial shard round-trips too, without reducing.
-    SweepResult part =
-        ModelRunner(cfg).runMany(models, {}, Shard{0, 2});
+    SweepResult part = sliceSweep(cfg, models, {}, 0, 2);
     SweepResult part2;
     ASSERT_TRUE(SweepResult::deserialize(part.serialize(), &part2));
     EXPECT_FALSE(part2.complete());
@@ -836,10 +851,9 @@ TEST(ShardedSweep, DeserializeRejectsHugeDeclaredGrids)
     w.u32(0xffffffffu); // layer count
     w.u32(1);           // one progress point
     w.f64(0.5);
-    w.u32(0);           // shard index
-    w.u32(1);           // shard count
     w.u64(0);           // cache hits
     w.u64(0);           // simulated
+    w.u64(0);           // estimated
     w.u32(0xffffffffu); // task count: matches 0xffffffff x 1 x 1
     SweepResult out;
     EXPECT_FALSE(SweepResult::deserialize(w.data(), &out));
@@ -851,9 +865,9 @@ TEST(ShardedSweep, MergeRejectsMismatchedSweeps)
     RunConfig cfg = storeConfig(8008);
     cfg.cache = false;
     const std::vector<ModelProfile> models = {tinyModel()};
-    SweepResult a = ModelRunner(cfg).runMany(models, {}, Shard{0, 2});
+    SweepResult a = sliceSweep(cfg, models, {}, 0, 2);
     cfg.seed = 8009; // different grid fingerprint
-    SweepResult b = ModelRunner(cfg).runMany(models, {}, Shard{1, 2});
+    SweepResult b = sliceSweep(cfg, models, {}, 1, 2);
     EXPECT_THROW(a.merge(b), SimError);
     setLogThrowMode(false);
 }
@@ -864,8 +878,7 @@ TEST(ShardedSweep, PartialSweepRejectsModelLevelReads)
     RunConfig cfg = storeConfig(9009);
     cfg.cache = false;
     const std::vector<ModelProfile> models = {tinyModel()};
-    SweepResult part =
-        ModelRunner(cfg).runMany(models, {}, Shard{0, 2});
+    SweepResult part = sliceSweep(cfg, models, {}, 0, 2);
     EXPECT_THROW(part.at(0), SimError);
     EXPECT_THROW(part.meanSpeedup(), SimError);
     setLogThrowMode(false);

@@ -516,17 +516,6 @@ TEST(RunnerEngine, NegativeThreadCountPanics)
     setLogThrowMode(false);
 }
 
-TEST(RunnerEngine, InvalidShardPanics)
-{
-    setLogThrowMode(true);
-    ModelRunner runner(fastConfig());
-    const std::vector<ModelProfile> models = {
-        ModelZoo::byName("SqueezeNet")};
-    EXPECT_THROW(runner.runMany(models, {}, Shard{0, 0}), SimError);
-    EXPECT_THROW(runner.runMany(models, {}, Shard{2, 2}), SimError);
-    setLogThrowMode(false);
-}
-
 TEST(PowerGatePhasing, FreezeFixesDecisionsAndRejectsObserve)
 {
     setLogThrowMode(true);

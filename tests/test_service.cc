@@ -407,7 +407,7 @@ TEST(RunHooks, ProgressReportsAndCancelSkips)
         ++calls;
         last = p;
     };
-    SweepResult sweep = runner.runSweep(spec, {}, hooks);
+    SweepResult sweep = runner.runSweep(spec, hooks);
     ASSERT_TRUE(sweep.complete());
     EXPECT_EQ(calls, sweep.taskCount());
     EXPECT_EQ(last.done_tasks, sweep.taskCount());
@@ -420,7 +420,7 @@ TEST(RunHooks, ProgressReportsAndCancelSkips)
     std::atomic<bool> stop{true};
     RunHooks cancel_hooks;
     cancel_hooks.cancel = &stop;
-    SweepResult cancelled = cold.runSweep(spec, {}, cancel_hooks);
+    SweepResult cancelled = cold.runSweep(spec, cancel_hooks);
     EXPECT_FALSE(cancelled.complete());
     EXPECT_EQ(cancelled.presentCellCount(), 0u);
     EXPECT_EQ(cancelled.simulated, 0u);

@@ -2,9 +2,9 @@
  * @file
  * Tests for the declarative sweep API: axis expansion and variant
  * addressing, per-variant TaskKey sensitivity (changing one axis value
- * re-simulates only that variant's cells), N-way shard merges across a
- * config axis, equivalence of a single-variant SweepSpec with the
- * legacy runMany() path, custom synthesis hooks, and Shard/spec
+ * re-simulates only that variant's cells), N-way cell-list merges
+ * across a config axis, equivalence of a single-variant SweepSpec with
+ * the legacy runMany() path, custom synthesis hooks, and cell-list/spec
  * validation at the API boundary.
  */
 
@@ -85,6 +85,19 @@ rowsAxis(std::initializer_list<int> rows)
     });
 }
 
+/** Partial sweep i of n: the op cells of every planSweep() layer slot
+ * congruent to i mod n. */
+SweepResult
+sliceSweep(const ModelRunner &runner, const SweepSpec &spec, size_t i,
+           size_t n)
+{
+    std::vector<size_t> cells;
+    for (const GridCellInfo &c : runner.planSweep(spec))
+        if (c.slot % n == i)
+            cells.push_back(c.cell);
+    return runner.runSweepCells(spec, cells);
+}
+
 /**
  * Serialized sweep content with the cache telemetry zeroed: two
  * sweeps holding bit-identical simulation results compare equal even
@@ -147,10 +160,6 @@ TEST(SweepSpecTest, SingleVariantSpecMatchesLegacyRunMany)
     EXPECT_EQ(via_spec.variantCount(), 1u);
     EXPECT_EQ(via_spec.variants, std::vector<std::string>{""});
     EXPECT_EQ(via_spec.fingerprint, via_many.fingerprint);
-    // The simulation-free fingerprint (the merge driver's shard-file
-    // check) agrees with what a real run produces.
-    EXPECT_EQ(ModelRunner(cfg).sweepFingerprint(spec),
-              via_spec.fingerprint);
     // The acceptance bar: bit-identical grids and aggregates, so a
     // shard written by one entry point merges with the other's.
     EXPECT_EQ(contentBytes(via_spec), contentBytes(via_many));
@@ -215,12 +224,11 @@ TEST(SweepSpecTest, NWayShardMergeIsBitIdenticalAcrossAConfigAxis)
     ASSERT_TRUE(full.complete());
     ASSERT_EQ(full.taskCount(), 15u); // 3 variants x (2 + 3 layers)
     ASSERT_EQ(full.variantCount(), 3u);
-    EXPECT_EQ(runner.sweepFingerprint(spec), full.fingerprint);
 
     for (size_t n : {2u, 3u}) {
         std::vector<SweepResult> shards;
         for (size_t i = 0; i < n; ++i)
-            shards.push_back(runner.runSweep(spec, Shard{i, n}));
+            shards.push_back(sliceSweep(runner, spec, i, n));
         for (const SweepResult &s : shards) {
             EXPECT_FALSE(s.complete());
             EXPECT_TRUE(s.results.empty());
@@ -275,7 +283,7 @@ TEST(SweepSpecTest, VariantGridSerializeRoundTrips)
               full.at(0, 0, 0).total.td_cycles);
 
     // A partial shard of the variant grid round-trips unreduced.
-    SweepResult part = ModelRunner(cfg).runSweep(spec, Shard{0, 2});
+    SweepResult part = sliceSweep(ModelRunner(cfg), spec, 0, 2);
     SweepResult part2;
     ASSERT_TRUE(SweepResult::deserialize(part.serialize(), &part2));
     EXPECT_FALSE(part2.complete());
@@ -332,20 +340,24 @@ TEST(SweepSpecTest, CustomSynthesisIsKeyedByItsSalt)
     ResultStore::shared().clearMemo();
 }
 
-TEST(SweepSpecTest, ShardIsValidatedAtTheApiBoundary)
+TEST(SweepSpecTest, OutOfRangeCellIsRejectedAtTheApiBoundary)
 {
     setLogThrowMode(true);
     RunConfig cfg = specConfig(21006);
     SweepSpec spec;
     spec.models = {tinyModel()};
     ModelRunner runner(cfg);
-    // An out-of-range shard owns zero cells; reject it instead of
-    // writing an empty shard file that fails only at merge time.
-    EXPECT_THROW(runner.runSweep(spec, Shard{2, 2}), SimError);
-    EXPECT_THROW(runner.runSweep(spec, Shard{5, 2}), SimError);
-    EXPECT_THROW(runner.runSweep(spec, Shard{0, 0}), SimError);
-    const auto models = tinyModels();
-    EXPECT_THROW(runner.runMany(models, {}, Shard{3, 3}), SimError);
+    // Cell lists arrive from another process (the sweep service's
+    // workers read them from disk); an index past the grid must be
+    // rejected, not fold into some other slot's mask.
+    const size_t ncells = runner.planSweep(spec).size();
+    ASSERT_EQ(ncells, 6u); // 2 layers x 3 training ops
+    const std::vector<size_t> last = {ncells - 1};
+    EXPECT_EQ(runner.runSweepCells(spec, last).presentCellCount(), 1u);
+    for (size_t bad : {ncells, ncells + 5, SIZE_MAX}) {
+        const std::vector<size_t> cells = {0, bad};
+        EXPECT_THROW(runner.runSweepCells(spec, cells), SimError);
+    }
     setLogThrowMode(false);
 }
 

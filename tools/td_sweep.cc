@@ -6,8 +6,8 @@
  *
  * The client serializes a JobSpec, sends a single JobRequest frame,
  * tails the daemon's Progress frames to stderr, and renders the final
- * SweepResult exactly the way the corresponding figure bench does —
- * the fig13 preset's table (and --csv output) is byte-identical to
+ * SweepResult with the same fig13Table() the figure bench uses — the
+ * fig13 preset's table (and --csv output) is byte-identical to
  * bench/fig13_speedup's, so the same goldens cover both paths.
  *
  * After the table it prints one machine-parseable counter line:
@@ -24,7 +24,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include <unistd.h>
 
@@ -62,43 +61,8 @@ fig13Job()
     JobSpec job;
     for (const ModelProfile &m : ModelZoo::paperModels())
         job.models.push_back(m.name);
-    const char *fast = std::getenv("TD_FAST");
-    job.max_sampled_macs =
-        (fast && fast[0] == '1') ? 120000 : 600000;
+    job.max_sampled_macs = paperSampleBudget();
     return job;
-}
-
-/** Render the sweep the way bench/fig13_speedup does: one row per
- * model with per-op and total speedups, then mean/geomean rows. */
-Table
-renderFig13(const SweepResult &sweep)
-{
-    const std::span<const TrainOp> ops =
-        phaseOps(WorkloadPhase::Training);
-    Table t;
-    std::vector<std::string> header{"model"};
-    for (TrainOp op : ops)
-        header.push_back(trainOpName(op));
-    header.push_back("Total");
-    t.header(header);
-    for (size_t m = 0; m < sweep.modelCount(); ++m) {
-        const ModelRunResult &r = sweep.at(m);
-        std::vector<std::string> row{sweep.models[m]};
-        for (const OpResult &opr : r.ops)
-            row.push_back(fmtSpeedup(opr.speedup()));
-        row.push_back(fmtSpeedup(r.speedup()));
-        t.row(row);
-    }
-    std::vector<std::string> blanks(ops.size(), "");
-    std::vector<std::string> avg{"average"};
-    avg.insert(avg.end(), blanks.begin(), blanks.end());
-    avg.push_back(fmtSpeedup(sweep.meanSpeedup()));
-    t.row(avg);
-    std::vector<std::string> geo{"geomean"};
-    geo.insert(geo.end(), blanks.begin(), blanks.end());
-    geo.push_back(fmtSpeedup(sweep.geomeanSpeedup()));
-    t.row(geo);
-    return t;
 }
 
 } // namespace
@@ -221,7 +185,7 @@ main(int argc, char **argv)
         std::chrono::milliseconds>(std::chrono::steady_clock::now() -
                                    start);
 
-    Table t = renderFig13(sweep);
+    Table t = fig13Table(sweep);
     t.print();
     if (!csv_path.empty()) {
         std::ofstream out(csv_path);
