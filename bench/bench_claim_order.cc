@@ -126,11 +126,13 @@ int
 main(int argc, char **argv)
 {
     Options opts = parseArgs(argc, argv);
-    banner("claim-order",
-           "greedy makespan under MAC-key vs estimate-key claiming");
+    banner("claim-order: greedy makespan under MAC-key vs "
+           "estimate-key claiming");
 
-    RunConfig cfg = defaultRunConfig(opts);
-    std::vector<ModelProfile> models = ModelZoo::paperModels();
+    FigureGrid fig13 = findFigure("fig13")->grid();
+    RunConfig cfg = fig13.base;
+    applyOptions(cfg, opts);
+    const std::vector<ModelProfile> &models = fig13.spec.models;
 
     // Measure every (model, layer) task of the grid serially, exactly
     // as one runGrid task runs it: private accelerator, the layer's

@@ -74,7 +74,7 @@ int
 main(int argc, char **argv)
 {
     bench::Options opts = bench::parseArgs(argc, argv);
-    bench::banner("Scheduled-form compression (sections 3.6/3.7)",
+    bench::banner("Scheduled-form compression (sections 3.6/3.7): "
                   "footprint vs CompressingDMA, backside timing");
     const auto models = ModelZoo::paperModels();
 

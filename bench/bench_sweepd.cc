@@ -44,15 +44,6 @@ using namespace tensordash::service;
 
 namespace {
 
-/** The fig13 sweep: the paper suite under Table 2 defaults. */
-SweepSpec
-fig13Spec()
-{
-    SweepSpec spec;
-    spec.models = ModelZoo::paperModels();
-    return spec;
-}
-
 void
 printPlan(const char *grid, size_t max_shards, size_t cells,
           const ShardPlan &sp)
@@ -102,11 +93,12 @@ replay(const char *grid, const ModelRunner &runner,
 int
 main()
 {
-    banner("bench_sweepd", "sweep-service shard planning replay");
+    banner("bench_sweepd: sweep-service shard planning replay");
 
-    const RunConfig cfg = defaultRunConfig();
+    const FigureGrid fig13 = findFigure("fig13")->grid();
+    const RunConfig &cfg = fig13.base;
     ModelRunner runner(cfg);
-    const SweepSpec spec = fig13Spec();
+    const SweepSpec &spec = fig13.spec;
     const std::vector<GridCellInfo> plan = runner.planSweep(spec);
 
     // Per-layer-task totals drive the fleet sizing below.
@@ -165,10 +157,10 @@ main()
     // run that bypasses the result cache.
     ResultStore::shared().clearMemo();
     SynthCache::shared().clear();
-    RunConfig cfg17 = cfg;
-    cfg17.accel.max_sampled_macs = fig17SampleBudget();
+    const FigureGrid fig17 = findFigure("fig17")->grid();
+    const RunConfig &cfg17 = fig17.base;
     const ModelRunner runner17(cfg17);
-    const SweepSpec spec17 = fig17Spec();
+    const SweepSpec &spec17 = fig17.spec;
     const std::vector<GridCellInfo> grid17 = runner17.planSweep(spec17);
     const ShardPlan plan17 = planJob(grid17, cfg17.cache_dir, kFleet);
     printPlan("fig17", kFleet, grid17.size(), plan17);

@@ -5,17 +5,17 @@
  * @file
  * Shared helpers for the benchmark harness.
  *
- * Every bench binary regenerates one table or figure from the paper's
- * evaluation and prints the same rows/series plus the paper-reported
- * reference values where the text states them.  Set TD_FAST=1 to run
- * with reduced sampling (quick smoke of the whole harness).
+ * td-fig regenerates any registered figure (core/figures.hh) and the
+ * other bench binaries one table or measurement each; all print their
+ * rows/series plus the paper-reported reference values where the text
+ * states them.  Set TD_FAST=1 to run with reduced sampling (quick
+ * smoke of the whole harness).
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "core/tensordash.hh"
 
@@ -32,54 +32,9 @@
 namespace tensordash {
 namespace bench {
 
-/** Per-op dense-MAC sampling cap for model-suite benches. */
-inline uint64_t
-sampleBudget(uint64_t full, uint64_t fast)
-{
-    return fastMode() ? fast : full;
-}
-
 /**
- * Fig. 17's sweep: the paper suite across five PE-row counts (columns
- * stay at 4).  Shared by the figure and the sweep-service replay so
- * both run the same grid.
- */
-inline SweepSpec
-fig17Spec()
-{
-    SweepSpec spec;
-    spec.models = ModelZoo::paperModels();
-    spec.axes = {axis("rows", {1, 2, 4, 8, 16},
-                      [](RunConfig &cfg, int rows) {
-                          cfg.accel.tile.rows = rows;
-                      })};
-    return spec;
-}
-
-/** Fig. 17's per-op dense-MAC sampling cap. */
-inline uint64_t
-fig17SampleBudget()
-{
-    return sampleBudget(250000, 60000);
-}
-
-/** Default accelerator run configuration (paper Table 2). */
-inline RunConfig
-defaultRunConfig()
-{
-    RunConfig cfg;
-    cfg.accel.max_sampled_macs = paperSampleBudget();
-    // The published evaluation (Figs. 13-21) assumes the streaming
-    // dataflow hides off-chip latency, so the paper-figure benches pin
-    // the analytic memory model for exact reproduction.  Fig. 22
-    // overrides this to study the pipelined model's memory roofline.
-    cfg.accel.memory_model = MemoryModel::Analytic;
-    return cfg;
-}
-
-/**
- * Shared command line of the figure benches.  Every fig binary accepts
- * the same base options so sweeps can be scripted uniformly:
+ * Shared command line of td-fig and the measurement benches, so every
+ * sweep can be scripted uniformly:
  *
  *   --threads N      simulation parallelism (default: TD_THREADS or
  *                    all cores; the shared ThreadPool serves every
@@ -100,7 +55,7 @@ defaultRunConfig()
  *                    touch exact blobs
  *
  * Farming one figure's grid out across processes is td-sweepd's job
- * (see tools/td_sweepd.cc), not the figure binaries'.
+ * (see tools/td_sweepd.cc), not td-fig's.
  */
 struct Options
 {
@@ -112,12 +67,14 @@ struct Options
     bool estimate = false;
 };
 
+/** Print the shared CLI's usage; @p figure_arg adds td-fig's FIGURE
+ * argument and the registry's figure list. */
 inline void
-usage(const char *binary, FILE *out = stdout)
+usage(const char *binary, FILE *out, bool figure_arg)
 {
     std::fprintf(
         out,
-        "usage: %s [--threads N] [--reps N] [--csv PATH]\n"
+        "usage: %s [--threads N] [--reps N] [--csv PATH]%s\n"
         "  --threads N      worker threads (default: TD_THREADS or "
         "all cores)\n"
         "  --reps N         repeat the figure N times, timing each "
@@ -129,21 +86,33 @@ usage(const char *binary, FILE *out = stdout)
         "env)\n"
         "  --estimate       closed-form estimate tier (triage only, "
         "not simulation results)\n",
-        binary);
+        binary, figure_arg ? " FIGURE" : "");
+    if (!figure_arg)
+        return;
+    std::fprintf(out, "figures:\n");
+    for (const FigureDef &f : figureRegistry())
+        std::fprintf(out, "  %-22s %s\n", f.name, f.title);
 }
 
-/** Parse the shared CLI; exits on --help, bad values or unknown
- * options. */
+/**
+ * Parse the shared CLI; exits on --help, bad values or unknown
+ * options.  With @p figure (td-fig) one positional FIGURE name is
+ * required and stored there; without it none is accepted.
+ */
 inline Options
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, std::string *figure = nullptr)
 {
     Options opts;
+    const bool figure_arg = figure != nullptr;
+    auto fail = [&]() {
+        usage(argv[0], stderr, figure_arg);
+        std::exit(1);
+    };
     auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
                          argv[i]);
-            usage(argv[0], stderr);
-            std::exit(1);
+            fail();
         }
         return argv[++i];
     };
@@ -164,7 +133,7 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            usage(argv[0], stdout);
+            usage(argv[0], stdout, figure_arg);
             std::exit(0);
         } else if (arg == "--threads") {
             opts.threads = intValue(i, 0); // 0 = TD_THREADS/auto
@@ -178,44 +147,44 @@ parseArgs(int argc, char **argv)
             opts.cache_dir = value(i);
         } else if (arg == "--estimate") {
             opts.estimate = true;
+        } else if (figure_arg && arg[0] != '-' && figure->empty()) {
+            *figure = arg;
         } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         arg.c_str());
-            usage(argv[0], stderr);
-            std::exit(1);
+            std::fprintf(stderr, "%s: unexpected argument '%s'\n",
+                         argv[0], arg.c_str());
+            fail();
         }
+    }
+    if (figure_arg && figure->empty()) {
+        std::fprintf(stderr, "%s: missing FIGURE\n", argv[0]);
+        fail();
     }
     return opts;
 }
 
-/** Run configuration honouring the shared CLI's thread count and
- * cache directory. */
-inline RunConfig
-defaultRunConfig(const Options &opts)
+/** Apply the shared CLI's execution knobs (thread count, cache
+ * directory) and --estimate to a figure's base configuration. */
+inline void
+applyOptions(RunConfig &cfg, const Options &opts)
 {
-    RunConfig cfg = defaultRunConfig();
     cfg.threads = opts.threads;
     cfg.cache_dir = opts.cache_dir;
     if (opts.estimate)
         cfg.fidelity = Fidelity::Estimate;
-    return cfg;
 }
 
-/** Print a table and, when requested, write it as CSV. */
+/** Print a table and, when requested, write it as CSV (fatal when the
+ * CSV cannot be written in full). */
 inline void
 emit(const Table &t, const Options &opts)
 {
     t.print();
     if (opts.csv.empty())
         return;
-    FILE *f = std::fopen(opts.csv.c_str(), "w");
-    if (!f) {
+    if (!t.writeCsv(opts.csv)) {
         TD_FATAL("cannot write CSV to '%s'", opts.csv.c_str());
         return; // unreachable unless throw-mode swallows the fatal
     }
-    std::string csv = t.csv();
-    std::fwrite(csv.data(), 1, csv.size(), f);
-    std::fclose(f);
     std::printf("csv written to %s\n", opts.csv.c_str());
 }
 
@@ -227,7 +196,6 @@ emit(const Table &t, const Options &opts)
  */
 struct BenchJsonStats
 {
-    bool have_sweep = false;
     size_t tasks = 0;
     size_t cells = 0;
     size_t cache_hits = 0;
@@ -341,7 +309,6 @@ reportCache(const SweepResult &sweep)
                 (size_t)s.reuses);
 
     BenchJsonStats &j = BenchJsonStats::instance();
-    j.have_sweep = true;
     j.tasks = sweep.taskCount();
     j.cells = sweep.cellCount();
     j.cache_hits = sweep.cache_hits;
@@ -352,43 +319,11 @@ reportCache(const SweepResult &sweep)
     j.synth_reuses = (size_t)s.reuses;
 }
 
-/**
- * Drive one declarative sweep figure through the runFigure() loop:
- * simulate @p spec's whole grid, report its cache counters, and render.
- *
- * @param render  callable SweepResult -> Table
- */
-template <typename RenderFn>
-inline void
-sweepFigure(const Options &opts, const ModelRunner &runner,
-            const SweepSpec &spec, RenderFn &&render)
-{
-    runFigure(opts, [&] {
-        SweepResult sweep = runner.runSweep(spec);
-        reportCache(sweep);
-        return render(sweep);
-    });
-}
-
-/** Single-variant convenience: drive a plain (model x progress) sweep
- * — no config axes — the same way. */
-template <typename RenderFn>
-inline void
-sweepFigure(const Options &opts, const ModelRunner &runner,
-            std::span<const ModelProfile> models,
-            std::span<const double> points, RenderFn &&render)
-{
-    SweepSpec spec;
-    spec.models.assign(models.begin(), models.end());
-    spec.progress_points.assign(points.begin(), points.end());
-    sweepFigure(opts, runner, spec, std::forward<RenderFn>(render));
-}
-
 /** Print the figure banner. */
 inline void
-banner(const char *id, const char *what)
+banner(const char *title)
 {
-    std::printf("=== %s: %s ===\n", id, what);
+    std::printf("=== %s ===\n", title);
     if (fastMode())
         std::printf("(TD_FAST=1: reduced sampling)\n");
 }

@@ -10,7 +10,7 @@ using namespace tensordash;
 int
 main()
 {
-    bench::banner("Table 2", "default configurations");
+    bench::banner("Table 2: default configurations");
     AcceleratorConfig cfg;
     ArchGeometry g = cfg.geometry();
 

@@ -91,6 +91,19 @@ Table::csv() const
     return os.str();
 }
 
+bool
+Table::writeCsv(const std::string &path) const
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const std::string text = csv();
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    const bool closed = std::fclose(f) == 0;
+    return wrote && closed;
+}
+
 void
 Table::print() const
 {

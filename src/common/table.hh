@@ -35,6 +35,11 @@ class Table
     /** Render as CSV (header + rows). */
     std::string csv() const;
 
+    /** Write csv() to @p path; false when the file cannot be opened,
+     * written in full or closed (a caller must not report success on
+     * a truncated CSV). */
+    bool writeCsv(const std::string &path) const;
+
     /** Print the ASCII table to stdout. */
     void print() const;
 

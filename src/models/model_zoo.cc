@@ -409,8 +409,8 @@ ModelZoo::recommenderModels()
     return {wideDeep(), neumf()};
 }
 
-ModelProfile
-ModelZoo::byName(const std::string &name)
+std::optional<ModelProfile>
+ModelZoo::find(const std::string &name)
 {
     for (auto &m : paperModels())
         if (m.name == name)
@@ -422,6 +422,14 @@ ModelZoo::byName(const std::string &name)
         return gcn();
     if (name == "ResNet50")
         return resnet50();
+    return std::nullopt;
+}
+
+ModelProfile
+ModelZoo::byName(const std::string &name)
+{
+    if (std::optional<ModelProfile> m = find(name))
+        return *std::move(m);
     TD_FATAL("unknown model '%s'", name.c_str());
     return {};
 }

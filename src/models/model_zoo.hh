@@ -16,6 +16,7 @@
  * statement they reproduce.  See DESIGN.md section 1.
  */
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,7 +150,12 @@ class ModelZoo
     /** The no-sparsity control model of section 4.4. */
     static ModelProfile gcn();
 
-    /** Look up any model (paper suite + gcn) by name. */
+    /** Look up any model (paper suite, recommenders, GCN and the
+     * unpruned ResNet50) by name; nullopt when the zoo has no such
+     * model. */
+    static std::optional<ModelProfile> find(const std::string &name);
+
+    /** find(), but an unknown name is fatal. */
     static ModelProfile byName(const std::string &name);
 
     /** Names in Fig. 13 order. */

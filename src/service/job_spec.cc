@@ -38,20 +38,6 @@ axisValueInRange(AxisKind kind, int64_t v)
     return false;
 }
 
-/** Names the zoo resolves (ModelZoo::byName TD_FATALs on an unknown
- * name, so the service checks membership first). */
-bool
-knownModel(const std::string &name)
-{
-    for (const ModelProfile &m : ModelZoo::paperModels())
-        if (m.name == name)
-            return true;
-    for (const ModelProfile &m : ModelZoo::recommenderModels())
-        if (m.name == name)
-            return true;
-    return name == "GCN" || name == "ResNet50";
-}
-
 } // namespace
 
 const char *
@@ -142,7 +128,7 @@ JobSpec::validate() const
     if (models.empty())
         return "job names no models";
     for (const std::string &m : models)
-        if (!knownModel(m))
+        if (!ModelZoo::find(m))
             return "unknown model '" + m + "'";
     for (double p : progress_points)
         if (!(p >= 0.0 && p <= 1.0))
@@ -196,39 +182,26 @@ JobSpec::toSweepSpec() const
     spec.progress_points = progress_points;
     for (const JobAxis &a : axes) {
         std::vector<int> values(a.values.begin(), a.values.end());
+        // Integer kinds set one RunConfig field, labelled by value.
+        void (*set)(RunConfig &, int) = nullptr;
         switch (a.kind) {
           case AxisKind::Rows:
-              spec.axes.push_back(axis(
-                  "rows", values,
-                  [](RunConfig &c, int v) { c.accel.tile.rows = v; }));
+              set = [](RunConfig &c, int v) { c.accel.tile.rows = v; };
               break;
           case AxisKind::Cols:
-              spec.axes.push_back(axis(
-                  "cols", values,
-                  [](RunConfig &c, int v) { c.accel.tile.cols = v; }));
+              set = [](RunConfig &c, int v) { c.accel.tile.cols = v; };
               break;
           case AxisKind::Depth:
-              spec.axes.push_back(axis(
-                  "depth", values, [](RunConfig &c, int v) {
-                      c.accel.tile.depth = v;
-                  }));
+              set = [](RunConfig &c, int v) { c.accel.tile.depth = v; };
               break;
           case AxisKind::Tiles:
-              spec.axes.push_back(
-                  axis("tiles", values,
-                       [](RunConfig &c, int v) { c.accel.tiles = v; }));
+              set = [](RunConfig &c, int v) { c.accel.tiles = v; };
               break;
-          case AxisKind::Gating: {
-              std::vector<AxisOption> options;
-              for (int v : values)
-                  options.push_back(
-                      {v ? "on" : "off", [v](RunConfig &c) {
-                           c.accel.power_gating = v != 0;
-                       }});
-              spec.axes.push_back(
-                  axis("gating", std::move(options)));
-              break;
-          }
+          case AxisKind::Gating:
+              spec.axes.push_back(axis(
+                  "gating", std::vector<bool>(values.begin(), values.end()),
+                  [](RunConfig &c, bool on) { c.accel.power_gating = on; }));
+              continue;
           case AxisKind::Phase: {
               std::vector<AxisOption> options;
               for (int v : values)
@@ -238,12 +211,14 @@ JobSpec::toSweepSpec() const
                                        : WorkloadPhase::Training;
                        }});
               spec.axes.push_back(axis("phase", std::move(options)));
-              break;
+              continue;
           }
           case AxisKind::Batch:
               spec.axes.push_back(batchAxis(values));
-              break;
+              continue;
         }
+        if (set) // validate() rejects any other kind up front
+            spec.axes.push_back(axis(axisKindName(a.kind), values, set));
     }
     return spec;
 }

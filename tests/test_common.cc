@@ -10,12 +10,14 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -415,6 +417,30 @@ TEST(Table, CsvRoundTrip)
     t.header({"a", "b"});
     t.row({"1", "2"});
     EXPECT_EQ(t.csv(), "a,b\n1,2\n");
+}
+
+TEST(Table, WriteCsvChecksOpenWriteAndClose)
+{
+    Table t;
+    t.header({"a", "b"});
+    t.row({"1", "2"});
+    const std::string path = ::testing::TempDir() + "table_write.csv";
+    ASSERT_TRUE(t.writeCsv(path));
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[64] = {};
+    size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_EQ(std::string(buf, n), t.csv());
+    // Unopenable path, and a device that accepts the open but fails
+    // the flushed write: both must report failure, not a truncated
+    // success.
+    EXPECT_FALSE(t.writeCsv(::testing::TempDir() + "no/such/dir.csv"));
+    if (std::FILE *full = std::fopen("/dev/full", "w")) {
+        std::fclose(full);
+        EXPECT_FALSE(t.writeCsv("/dev/full"));
+    }
 }
 
 TEST(Table, NumericRowFormatting)

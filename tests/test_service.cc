@@ -277,6 +277,28 @@ TEST(JobSpec, DeserializeRejectsCorruption)
     }
 }
 
+TEST(JobSpec, ValidatesExactlyTheZoosModelNames)
+{
+    // JobSpec::validate and ModelZoo::byName share one name list
+    // (ModelZoo::find): every name byName resolves validates, and an
+    // unknown name is rejected with its reason.
+    std::vector<std::string> names = ModelZoo::paperModelNames();
+    for (const ModelProfile &m : ModelZoo::recommenderModels())
+        names.push_back(m.name);
+    names.push_back(ModelZoo::gcn().name);
+    names.push_back("ResNet50");
+    for (const std::string &name : names) {
+        EXPECT_EQ(ModelZoo::byName(name).name, name);
+        JobSpec j;
+        j.models = {name};
+        EXPECT_EQ(j.validate(), "") << name;
+    }
+    EXPECT_FALSE(ModelZoo::find("NoSuchNet").has_value());
+    JobSpec j;
+    j.models = {"NoSuchNet"};
+    EXPECT_EQ(j.validate(), "unknown model 'NoSuchNet'");
+}
+
 TEST(JobSpec, ValidateRejectsLoudly)
 {
     {

@@ -2,13 +2,14 @@
  * @file
  * td-sweep: submit a sweep job to td-sweepd and render the result.
  *
- *   td-sweep --socket PATH [--csv FILE] [--quiet] fig13
+ *   td-sweep --socket PATH [--csv FILE] [--quiet] FIGURE
  *
- * The client serializes a JobSpec, sends a single JobRequest frame,
- * tails the daemon's Progress frames to stderr, and renders the final
- * SweepResult with the same fig13Table() the figure bench uses — the
- * fig13 preset's table (and --csv output) is byte-identical to
- * bench/fig13_speedup's, so the same goldens cover both paths.
+ * FIGURE is any figure of the registry (core/figures.hh) whose grid a
+ * JobSpec can express.  The client serializes that JobSpec, sends a
+ * single JobRequest frame, tails the daemon's Progress frames to
+ * stderr, and renders the final SweepResult with the figure's own
+ * renderer — the table (and --csv output) is byte-identical to
+ * `td-fig FIGURE`'s, so the same goldens cover both paths.
  *
  * After the table it prints one machine-parseable counter line:
  *
@@ -22,13 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
 
 #include "core/tensordash.hh"
-#include "service/job_spec.hh"
 #include "service/protocol.hh"
 
 using namespace tensordash;
@@ -41,28 +41,16 @@ usage(FILE *out)
 {
     std::fprintf(
         out,
-        "usage: td-sweep --socket PATH [--csv FILE] [--quiet] PRESET\n"
+        "usage: td-sweep --socket PATH [--csv FILE] [--quiet] FIGURE\n"
         "  --socket PATH  td-sweepd's Unix-domain socket\n"
         "  --csv FILE     also write the rendered table as CSV\n"
         "  --quiet        suppress the progress tail on stderr\n"
-        "presets:\n"
-        "  fig13          training speedup over the paper's model\n"
-        "                 suite (same table as bench/fig13_speedup;\n"
-        "                 TD_FAST=1 selects the reduced sampling\n"
-        "                 budget)\n");
+        "figures (the same tables as td-fig FIGURE; TD_FAST=1 selects\n"
+        "the reduced sampling budget):\n");
+    for (const FigureDef &f : figureRegistry())
+        if (f.grid().job)
+            std::fprintf(out, "  %-8s %s\n", f.name, f.title);
     return out == stdout ? 0 : 1;
-}
-
-/** The fig13 job: paper suite, training, analytic memory, the figure
- * bench's sampling budget (TD_FAST-aware so goldens line up). */
-JobSpec
-fig13Job()
-{
-    JobSpec job;
-    for (const ModelProfile &m : ModelZoo::paperModels())
-        job.models.push_back(m.name);
-    job.max_sampled_macs = paperSampleBudget();
-    return job;
 }
 
 } // namespace
@@ -74,7 +62,7 @@ main(int argc, char **argv)
                       std::strcmp(argv[1], "-h") == 0))
         return usage(stdout);
 
-    std::string socket_path, csv_path, preset;
+    std::string socket_path, csv_path, figure;
     bool quiet = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -97,22 +85,26 @@ main(int argc, char **argv)
             std::fprintf(stderr, "td-sweep: unknown option '%s'\n",
                          arg.c_str());
             return usage(stderr);
-        } else if (preset.empty()) {
-            preset = arg;
+        } else if (figure.empty()) {
+            figure = arg;
         } else {
             return usage(stderr);
         }
     }
-    if (socket_path.empty() || preset.empty())
+    if (socket_path.empty() || figure.empty())
         return usage(stderr);
-    if (preset != "fig13") {
-        std::fprintf(stderr, "td-sweep: unknown preset '%s'\n",
-                     preset.c_str());
+    const FigureDef *fig = findFigure(figure);
+    const std::optional<JobSpec> job =
+        fig ? fig->grid().job : std::nullopt;
+    if (!job) {
+        std::fprintf(stderr,
+                     "td-sweep: '%s' is not a figure td-sweepd can "
+                     "serve\n",
+                     figure.c_str());
         return usage(stderr);
     }
 
-    JobSpec job = fig13Job();
-    std::string reason = job.validate();
+    std::string reason = job->validate();
     if (!reason.empty()) {
         std::fprintf(stderr, "td-sweep: invalid job: %s\n",
                      reason.c_str());
@@ -129,7 +121,7 @@ main(int argc, char **argv)
         return 1;
     }
     ByteWriter w;
-    job.serialize(w);
+    job->serialize(w);
     if (!sendFrame(fd, MsgType::JobRequest, w.data())) {
         std::fprintf(stderr, "td-sweep: request write failed\n");
         ::close(fd);
@@ -185,16 +177,12 @@ main(int argc, char **argv)
         std::chrono::milliseconds>(std::chrono::steady_clock::now() -
                                    start);
 
-    Table t = fig13Table(sweep);
+    Table t = fig->render(sweep);
     t.print();
-    if (!csv_path.empty()) {
-        std::ofstream out(csv_path);
-        if (!out) {
-            std::fprintf(stderr, "td-sweep: cannot write '%s'\n",
-                         csv_path.c_str());
-            return 1;
-        }
-        out << t.csv();
+    if (!csv_path.empty() && !t.writeCsv(csv_path)) {
+        std::fprintf(stderr, "td-sweep: cannot write '%s'\n",
+                     csv_path.c_str());
+        return 1;
     }
     std::printf("[result] cells=%zu hits=%zu simulated=%zu "
                 "estimated=%zu wall_ms=%lld\n",
