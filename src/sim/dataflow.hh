@@ -26,6 +26,14 @@
  * Full layers are too large to simulate exhaustively, so lower() can
  * sample the job grid; each sampled job carries a weight so aggregate
  * cycle counts remain unbiased estimates of the full layer.
+ *
+ * Only the B side's zero vectors drive the schedule; A values merely
+ * move in tandem through the multiplexers.  Timing-only (mask-mode)
+ * lowering therefore gathers B masks and no A streams at all -- each
+ * job records just its column count -- and A streams are built only in
+ * value mode, for functional runs.  Each side gathers its streams with
+ * a sequential cursor that walks the reduction incrementally from a
+ * per-output base offset instead of decoding every index.
  */
 
 #include <cstdint>
@@ -110,7 +118,11 @@ struct LoweredOp
 {
     TrainOp op = TrainOp::Forward;
 
-    /** Sampled jobs; each job's weight scales it to the full layer. */
+    /**
+     * Sampled jobs; each job's weight scales it to the full layer.  A
+     * streams are present only in value mode (DataflowConfig::
+     * with_values); mask-mode jobs carry B streams and a column count.
+     */
     std::vector<TileJob> jobs;
 
     /** Dense reduction rows (steps) per output. */
@@ -130,9 +142,17 @@ struct LoweredOp
     /** Output tensor shape for scatter(). */
     Shape out_shape;
 
-    /** B/A output indices per job (parallel to jobs). */
-    std::vector<std::vector<int>> job_b_ids;
-    std::vector<std::vector<int>> job_a_ids;
+    /**
+     * Output grid layout for scatter(): job cell g = jb * jobs_a + ja
+     * covers B outputs [jb * rows_per_job, +job.b.size()) and A outputs
+     * [ja * cols_per_job, +job.cols).
+     */
+    int rows_per_job = 0;
+    int cols_per_job = 0;
+    uint64_t jobs_a = 0;
+
+    /** Grid cell of each sampled job (parallel to jobs). */
+    std::vector<uint64_t> job_cells;
 
     /**
      * For BackwardWeights only: true when the scheduled B side carries

@@ -747,13 +747,13 @@ OpEstimator::estimateSimCostDetail(const AcceleratorConfig &config,
     const TileConfig &tile = config.tile;
 
     double mean_rows = (double)g.b.count / (double)jg.jobs_b;
-    double mean_cols = (double)g.a_count / (double)jg.jobs_a;
     double sampled = (double)jg.sampled_jobs;
     double steps = (double)jg.steps;
     double lanes = (double)tile.lanes;
 
-    // Stream building touches every slot of every sampled row/column.
-    double gather = sampled * steps * lanes * (mean_rows + mean_cols);
+    // Stream building touches every slot of every sampled B row;
+    // timing-mode lowering gathers no A streams.
+    double gather = sampled * steps * lanes * mean_rows;
 
     // The tile walks ~efficiency * steps cycles per job, scheduling
     // each scheduled row each cycle.

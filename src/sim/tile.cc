@@ -20,11 +20,13 @@ Tile::run(const TileJob &job, TileStats &stats,
           std::vector<std::vector<double>> *outputs)
 {
     int nrows = (int)job.b.size();
-    int ncols = (int)job.a.size();
+    int ncols = job.cols;
     TD_ASSERT(nrows >= 1 && nrows <= config_.rows,
               "job uses %d rows, tile has %d", nrows, config_.rows);
     TD_ASSERT(ncols >= 1 && ncols <= config_.cols,
               "job uses %d cols, tile has %d", ncols, config_.cols);
+    TD_ASSERT(job.a.empty() || (int)job.a.size() == ncols,
+              "job has %zu A streams for %d cols", job.a.size(), ncols);
     int steps = job.steps();
     for (const auto &s : job.b)
         TD_ASSERT(s.rows() == steps, "B stream length mismatch");
@@ -38,6 +40,8 @@ Tile::run(const TileJob &job, TileStats &stats,
         return 0;
 
     if (outputs) {
+        TD_ASSERT((int)job.a.size() == ncols,
+                  "functional run needs A streams");
         outputs->assign(nrows, std::vector<double>(ncols, 0.0));
         for (const auto &s : job.b)
             TD_ASSERT(s.hasValues(), "functional run needs values");

@@ -51,13 +51,18 @@ struct TileConfig
 };
 
 /**
- * One unit of tile work: up to `rows` B streams and `cols` A streams of
- * equal length; PE(r, c) accumulates dot(B_r, A_c) over the whole job.
+ * One unit of tile work: up to `rows` B streams over `cols` PE columns,
+ * all of equal length; PE(r, c) accumulates dot(B_r, A_c) over the
+ * whole job.  The schedule depends on the B masks alone, so timing-only
+ * jobs leave `a` empty; functional runs need all `cols` A streams.
  */
 struct TileJob
 {
     std::vector<BlockStream> b;
     std::vector<BlockStream> a;
+
+    /** Active PE columns (== a.size() whenever A streams are given). */
+    int cols = 0;
 
     /** Number of real jobs this (possibly sampled) job represents. */
     double weight = 1.0;
@@ -114,7 +119,7 @@ class Tile
      * @param job     operand streams (validated against the config)
      * @param stats   accumulated activity counters (unweighted)
      * @param outputs optional functional accumulators, indexed
-     *                [row][col]; requires value-mode streams
+     *                [row][col]; requires value-mode B and A streams
      * @return TensorDash cycles for the job
      */
     uint64_t run(const TileJob &job, TileStats &stats,

@@ -116,6 +116,160 @@ TEST_P(DataflowFunctional, BackwardWeightsMatchesReference)
     }
 }
 
+/** Nonzero mask of one value-mode stream row, derived from its values. */
+uint32_t
+valueMask(const BlockStream &s, int row)
+{
+    uint32_t mask = 0;
+    for (int l = 0; l < s.lanes(); ++l)
+        if (s.value(row, l) != 0.0f)
+            mask |= 1u << l;
+    return mask;
+}
+
+/**
+ * Lower one op in value mode and in mask mode and check that the two
+ * agree: same sampled grid cells, mask-mode B masks equal to the masks
+ * of the value-mode streams, no A streams in mask mode and a column
+ * count equal to the value-mode A stream count.  The value-mode result
+ * must also match @p want, so the shared gather is checked both ways.
+ */
+template <class Lower>
+void
+expectMaskModeMatchesValues(const char *what, Lower lower,
+                            const Tensor &want)
+{
+    SCOPED_TRACE(what);
+    for (uint64_t cap : {uint64_t{0}, uint64_t{3000}}) {
+        DataflowConfig vcfg = funcConfig();
+        vcfg.max_sampled_macs = cap;
+        DataflowConfig mcfg = vcfg;
+        mcfg.with_values = false;
+        LoweredOp v = lower(Dataflow(vcfg));
+        LoweredOp m = lower(Dataflow(mcfg));
+        if (cap == 0) {
+            EXPECT_EQ(executeLowered(v, TileConfig{}).maxAbsDiff(want),
+                      0.0f);
+        }
+
+        ASSERT_EQ(v.jobs.size(), m.jobs.size());
+        EXPECT_EQ(v.job_cells, m.job_cells);
+        EXPECT_EQ(v.steps, m.steps);
+        EXPECT_EQ(v.b_nonzero_slots, m.b_nonzero_slots);
+        EXPECT_EQ(v.b_total_slots, m.b_total_slots);
+        for (size_t j = 0; j < v.jobs.size(); ++j) {
+            const TileJob &vj = v.jobs[j];
+            const TileJob &mj = m.jobs[j];
+            EXPECT_TRUE(mj.a.empty()) << "job " << j;
+            EXPECT_EQ((int)vj.a.size(), vj.cols) << "job " << j;
+            EXPECT_EQ(mj.cols, (int)vj.a.size()) << "job " << j;
+            ASSERT_EQ(vj.b.size(), mj.b.size()) << "job " << j;
+            for (size_t r = 0; r < vj.b.size(); ++r) {
+                ASSERT_EQ(mj.b[r].rows(), v.steps);
+                ASSERT_FALSE(mj.b[r].hasValues());
+                for (int step = 0; step < v.steps; ++step) {
+                    uint32_t want_mask = valueMask(vj.b[r], step);
+                    ASSERT_EQ(vj.b[r].nzMask(step), want_mask);
+                    ASSERT_EQ(mj.b[r].nzMask(step), want_mask)
+                        << "job " << j << " row " << r << " step " << step;
+                }
+            }
+        }
+    }
+}
+
+TEST_P(DataflowFunctional, MaskModeMatchesValueModeForEveryLowering)
+{
+    auto [n, c, f, h, k, stride, pad] = GetParam();
+    Rng rng(47);
+    ConvSpec spec{stride, pad};
+    int oh = spec.outDim(h, k);
+    Tensor acts(n, c, h, h);
+    acts.fillSmallInt(rng, 3);
+    acts.dropout(rng, 0.4f);
+    Tensor weights(f, c, k, k);
+    weights.fillSmallInt(rng, 3);
+    weights.dropout(rng, 0.3f);
+    Tensor go(n, f, oh, oh);
+    go.fillSmallInt(rng, 3);
+    go.dropout(rng, 0.5f);
+
+    Tensor fwd = conv2dForward(acts, weights, spec);
+    for (FwdSide side :
+         {FwdSide::Activations, FwdSide::Weights, FwdSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "conv forward",
+            [&](const Dataflow &df) {
+                return df.lowerForward(acts, weights, spec, side);
+            },
+            fwd);
+    }
+    Tensor bwd = conv2dBackwardData(go, weights, acts.shape(), spec);
+    for (BwdDataSide side : {BwdDataSide::Gradients, BwdDataSide::Weights,
+                             BwdDataSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "conv backward-data",
+            [&](const Dataflow &df) {
+                return df.lowerBackwardData(go, weights, acts.shape(),
+                                            spec, side);
+            },
+            bwd);
+    }
+    Tensor wg = conv2dBackwardWeights(go, acts, k, k, spec);
+    for (WgSide side :
+         {WgSide::Gradients, WgSide::Activations, WgSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "conv backward-weights",
+            [&](const Dataflow &df) {
+                return df.lowerBackwardWeights(go, acts, k, k, spec, side);
+            },
+            wg);
+    }
+
+    // Matmul operands from the same geometry: batch n*h, in_c = c,
+    // out_c = f, so neither extent tiles the 4x4 grid exactly.
+    Tensor fa(n * h, c, 1, 1);
+    fa.fillSmallInt(rng, 3);
+    fa.dropout(rng, 0.4f);
+    Tensor fw(f, c, 1, 1);
+    fw.fillSmallInt(rng, 3);
+    fw.dropout(rng, 0.3f);
+    Tensor fg(n * h, f, 1, 1);
+    fg.fillSmallInt(rng, 3);
+    fg.dropout(rng, 0.5f);
+
+    Tensor ffwd = fcForward(fa, fw);
+    for (FwdSide side :
+         {FwdSide::Activations, FwdSide::Weights, FwdSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "fc forward",
+            [&](const Dataflow &df) {
+                return df.lowerFcForward(fa, fw, side);
+            },
+            ffwd);
+    }
+    Tensor fbwd = fcBackwardData(fg, fw);
+    for (BwdDataSide side : {BwdDataSide::Gradients, BwdDataSide::Weights,
+                             BwdDataSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "fc backward-data",
+            [&](const Dataflow &df) {
+                return df.lowerFcBackwardData(fg, fw, fa.shape(), side);
+            },
+            fbwd);
+    }
+    Tensor fwg = fcBackwardWeights(fg, fa);
+    for (WgSide side :
+         {WgSide::Gradients, WgSide::Activations, WgSide::Auto}) {
+        expectMaskModeMatchesValues(
+            "fc backward-weights",
+            [&](const Dataflow &df) {
+                return df.lowerFcBackwardWeights(fg, fa, side);
+            },
+            fwg);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DataflowFunctional,
     ::testing::Values(
@@ -148,7 +302,9 @@ TEST(Dataflow, FcLayerLowersAsConv)
 TEST(Dataflow, StepsCoverReductionWithPadding)
 {
     Rng rng(23);
-    Tensor acts(1, 20, 6, 6); // 20 channels -> 2 rows per (ky,kx) pair?
+    // 20 channels: lane rows straddle (ky, kx) tap boundaries, so the
+    // step count comes from the flattened reduction, not the taps.
+    Tensor acts(1, 20, 6, 6);
     acts.fillSmallInt(rng, 2);
     Tensor weights(2, 20, 3, 3);
     weights.fillSmallInt(rng, 2);

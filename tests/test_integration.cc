@@ -57,6 +57,7 @@ TEST(Integration, SinglePeEqualsOneByOneTile)
         TileJob job;
         job.b.push_back(b);
         job.a.push_back(a);
+        job.cols = 1;
         TileStats tile_stats;
         uint64_t tile_cycles = tile.run(job, tile_stats);
 

@@ -54,6 +54,7 @@ randomJob(Rng &rng, const TileConfig &cfg, int steps, double b_sparsity,
     for (int c = 0; c < cfg.cols; ++c)
         job.a.push_back(randomStream(rng, cfg.lanes, steps, a_sparsity,
                                      with_values));
+    job.cols = cfg.cols;
     return job;
 }
 
@@ -120,6 +121,7 @@ TEST(Tile, SlowestRowGatesAdvance)
             s.appendMaskRow(0xffffu);
         job.a.push_back(s);
     }
+    job.cols = 4;
     TileStats stats;
     EXPECT_EQ(tile.run(job, stats), (uint64_t)steps);
     EXPECT_GT(stats.stall_cycles, 0u);
@@ -140,6 +142,7 @@ TEST(Tile, SingleRowAvoidsImbalance)
     TileJob job1;
     job1.b.push_back(sparse);
     job1.a.push_back(acts);
+    job1.cols = 1;
     TileStats s1;
     uint64_t fast = tile1.run(job1, s1);
 
@@ -149,6 +152,7 @@ TEST(Tile, SingleRowAvoidsImbalance)
     job2.b.push_back(dense);
     job2.b.push_back(sparse);
     job2.a.push_back(acts);
+    job2.cols = 1;
     TileStats s2;
     uint64_t slow = tile2.run(job2, s2);
 
@@ -232,6 +236,7 @@ TEST(Tile, MoreRowsNeverFaster)
     TileJob big_job;
     big_job.b = b_streams;
     big_job.a.push_back(acts);
+    big_job.cols = 1;
     TileStats bs;
     uint64_t big_cycles = big_tile.run(big_job, bs);
 
@@ -242,6 +247,7 @@ TEST(Tile, MoreRowsNeverFaster)
         TileJob job;
         job.b = {b_streams[2 * g], b_streams[2 * g + 1]};
         job.a.push_back(acts);
+        job.cols = 1;
         TileStats ss;
         small_cycles_max = std::max(small_cycles_max,
                                     small_tile.run(job, ss));
@@ -258,6 +264,7 @@ TEST(Tile, PartialJobsUseFewerStreams)
     job.b.push_back(randomStream(rng, 16, 12, 0.5));
     job.a.push_back(randomStream(rng, 16, 12, 0.0));
     job.a.push_back(randomStream(rng, 16, 12, 0.0));
+    job.cols = 2;
     TileStats stats;
     std::vector<std::vector<double>> outputs;
     tile.run(job, stats, &outputs);
@@ -290,6 +297,7 @@ TEST(Tile, RejectsMismatchedStreamLengths)
     job.b.push_back(randomStream(rng, 16, 4, 0.0, false));
     job.b.push_back(randomStream(rng, 16, 5, 0.0, false));
     job.a.push_back(randomStream(rng, 16, 4, 0.0, false));
+    job.cols = 1;
     TileStats stats;
     EXPECT_THROW(tile.run(job, stats), SimError);
     setLogThrowMode(false);
@@ -308,9 +316,11 @@ TEST(Tile, MultOpsScaleWithColumns)
     TileJob j1, j4;
     j1.b.push_back(b);
     j1.a.push_back(a);
+    j1.cols = 1;
     j4.b.push_back(b);
     for (int c = 0; c < 4; ++c)
         j4.a.push_back(a);
+    j4.cols = 4;
     TileStats s1, s4;
     uint64_t c1 = t1.run(j1, s1);
     uint64_t c4 = t4.run(j4, s4);
