@@ -266,12 +266,8 @@ runFigure(const Options &opts, BuildFn &&build)
     int threads =
         opts.threads > 0 ? opts.threads : ThreadPool::defaultThreadCount();
     for (int rep = 0; rep < opts.reps; ++rep) {
-        if (opts.reps > 1) {
+        if (opts.reps > 1)
             ResultStore::shared().clearMemo();
-            // Same honesty rule for synthesis: reps 2..N must pay it,
-            // not ride rep 1's cached tensors.
-            SynthCache::shared().clear();
-        }
         auto start = std::chrono::steady_clock::now();
         Table t = build();
         double ms = std::chrono::duration<double, std::milli>(
@@ -291,8 +287,9 @@ runFigure(const Options &opts, BuildFn &&build)
  * stays the final field so `simulated=0$` anchors).  The `[synth]`
  * line reports the process-wide synthesis cache the same way: a cold
  * N-variant geometry sweep shows `keys=` at the single-variant cell
- * count and `reuses=` covering the other N-1 variants (CI anchors on
- * it; `reuses=` stays the final field). */
+ * count, `resident=` at 0 bytes (every entry died with its last
+ * consumer) and `reuses=` covering the other N-1 variants (CI anchors
+ * on it; `keys=` stays the first field and `reuses=` the final one). */
 inline void
 reportCache(const SweepResult &sweep)
 {
@@ -305,7 +302,9 @@ reportCache(const SweepResult &sweep)
                 (size_t)c.misses, (size_t)c.inserts, sweep.estimated,
                 sweep.simulated);
     const SynthCounters s = SynthCache::shared().counters();
-    std::printf("[synth] keys=%zu reuses=%zu\n", (size_t)s.keys,
+    std::printf("[synth] keys=%zu resident=%llu reuses=%zu\n",
+                (size_t)s.keys,
+                (unsigned long long)SynthCache::shared().residentBytes(),
                 (size_t)s.reuses);
 
     BenchJsonStats &j = BenchJsonStats::instance();

@@ -5,10 +5,9 @@
  * @file
  * Validated environment-variable parsing.
  *
- * Every TD_* execution knob (TD_THREADS, TD_FISSION,
- * TD_SYNTH_CACHE_BYTES, TD_CACHE, ...) resolves through these helpers
- * instead of ad-hoc strtol calls scattered across subsystems, so all
- * knobs share one contract:
+ * Every TD_* execution knob (TD_THREADS, TD_FISSION, TD_CACHE, ...)
+ * resolves through these helpers instead of ad-hoc strtol calls
+ * scattered across subsystems, so all knobs share one contract:
  *
  *  - unset          -> the caller's fallback, silently;
  *  - well-formed    -> the parsed value, range-checked;
@@ -23,7 +22,6 @@
  * rather than saturated.
  */
 
-#include <cstdint>
 #include <string>
 
 namespace tensordash {
@@ -42,12 +40,6 @@ long intKnob(const char *name, long min, long max, long fallback);
  */
 double doubleKnob(const char *name, double min, double max,
                   double fallback);
-
-/**
- * Non-negative byte-count knob (e.g. TD_SYNTH_CACHE_BYTES).  Same
- * contract as intKnob with an implicit [0, UINT64_MAX] range.
- */
-uint64_t byteKnob(const char *name, uint64_t fallback);
 
 /**
  * String knob (e.g. TD_CACHE's directory).  Returns @p fallback when

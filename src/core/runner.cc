@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -129,11 +130,11 @@ struct SimTask
      * volume.  Unlike raw dense MACs, this sees the sampling cap, the
      * per-job gather/schedule volume and the sparse front end's
      * expected cycle reduction, so a sampling-capped variant of a
-     * huge layer no longer outranks genuinely costlier cells.  With
-     * the synthesis cache on, synthesis volume is charged only to the
-     * first task of each SynthKey — its siblings reuse the tensors —
-     * which both keeps costliest-first ordering honest and sorts the
-     * synthesizing task ahead of its reusers. */
+     * huge layer no longer outranks genuinely costlier cells.
+     * Synthesis volume is charged only to the first task of each
+     * SynthKey — its siblings reuse the tensors — which both keeps
+     * costliest-first ordering honest and sorts the synthesizing task
+     * ahead of its reusers. */
     double est_cost;
 };
 
@@ -203,49 +204,31 @@ synthesizeLayer(const SweepUnit &unit, size_t layer)
  * inference sweep's gap is bit-identical to the one a full training
  * run produces.
  *
- * Tensors come from the process-wide SynthCache when @p synth_cache
- * is set: the first task of each SynthKey synthesizes (under the
- * key's own latch), every geometry sibling reuses the ready tensors
- * and their pre-measured sparsities.  With the cache disabled the
- * task synthesizes privately but still measures each sparsity exactly
- * once — the gating observation and the write-back estimate share the
- * scan.
+ * Tensors come from the process-wide SynthCache, which uses up this
+ * task's registered use of its SynthKey: the first task of a key
+ * synthesizes (under the key's own latch), every geometry sibling
+ * reuses the ready tensors and their pre-measured sparsities, and the
+ * last one frees them.
  */
 void
 simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
                 const SimTask &task, std::span<const TrainOp> ops,
-                uint32_t missing, SynthCache *synth_cache,
-                const FissionPolicy &fission,
+                uint32_t missing, const FissionPolicy &fission,
                 std::atomic<uint64_t> *fission_subtasks,
                 LayerResult *out)
 {
     const RunConfig &config = *unit.config;
+    std::shared_ptr<const SynthTensors> st =
+        SynthCache::shared().acquire(SynthKey{task.synth_key}, [&] {
+            return grid.spec.synthesize
+                ? grid.spec.synthesize(config, *unit.model, task.layer,
+                                       unit.progress)
+                : synthesizeLayer(unit, task.layer);
+        });
     AcceleratorConfig accel_cfg = config.accel;
     accel_cfg.wg_side = unit.model->wg_side;
     Accelerator accel(accel_cfg);
 
-    auto synth = [&] {
-        return grid.spec.synthesize
-            ? grid.spec.synthesize(config, *unit.model, task.layer,
-                                   unit.progress)
-            : synthesizeLayer(unit, task.layer);
-    };
-    std::shared_ptr<const SynthTensors> cached;
-    SynthTensors local;
-    const SynthTensors *st;
-    if (synth_cache) {
-        cached = synth_cache->acquire(SynthKey{task.synth_key}, synth);
-        st = cached.get();
-    } else {
-        local.tensors = synth();
-        // One scan per tensor, shared by the gating observation and
-        // the write-back estimate below (weights only gate).
-        local.act_sparsity = local.tensors.acts.sparsity();
-        local.grad_sparsity = local.tensors.grads.sparsity();
-        if (config.accel.power_gating)
-            local.weight_sparsity = local.tensors.weights.sparsity();
-        st = &local;
-    }
     const LayerTensors &t = st->tensors;
     if (config.accel.power_gating) {
         // Observe -> freeze: decisions are immutable before any op of
@@ -388,7 +371,7 @@ struct GridEnumeration
     std::vector<double> cell_costs;
 
     /** Synthesis volume charged per slot (0 for reusers of an
-     * already-charged SynthKey when the synthesis cache is on). */
+     * already-charged SynthKey). */
     std::vector<double> task_synth_costs;
 
     /** Exact-tier per-op cost statistics (fission threshold base). */
@@ -401,13 +384,11 @@ struct GridEnumeration
  * fingerprint every (layer, op) cell under its variant's effective
  * config and phase.  Keys and claim costs are computed serially up
  * front: they are cheap relative to simulation and the sweep
- * fingerprint needs every key.  @p synth_cache_on selects the
- * synthesis cost model: with the cache on only the first task of each
- * SynthKey pays synthesis (its geometry siblings reuse the tensors),
- * with it off every exact task does.
+ * fingerprint needs every key.  Only the first exact task of each
+ * SynthKey pays synthesis: its geometry siblings reuse the tensors.
  */
 GridEnumeration
-enumerateGrid(const GridLayout &grid, bool synth_cache_on)
+enumerateGrid(const GridLayout &grid)
 {
     GridEnumeration e;
 
@@ -450,7 +431,7 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
 
     // SynthKeys whose synthesis cost has been charged to a task:
     // geometry variants share keys, and only the first task of a key
-    // actually synthesizes when the cache is on.
+    // actually synthesizes.
     std::unordered_set<uint64_t> charged_synth;
     for (size_t v = 0; v < grid.variant_configs.size(); ++v) {
         const RunConfig &config = grid.variant_configs[v];
@@ -483,13 +464,10 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
                                           grid.spec.synthesis_salt)
                             .value;
                     // Estimate-tier tasks never synthesize; exact
-                    // tasks pay synthesis once per key when the cache
-                    // is on (every reuser rides the first task's
-                    // tensors), or always when it is off.
+                    // tasks pay synthesis once per key (every reuser
+                    // rides the first task's tensors).
                     double synth_cost = 0.0;
-                    if (!estimate &&
-                        (!synth_cache_on ||
-                         charged_synth.insert(skey).second))
+                    if (!estimate && charged_synth.insert(skey).second)
                         synth_cost = synthesisCost(model->layers[l],
                                                    model->batch);
                     double cost = synth_cost;
@@ -523,8 +501,7 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
 
 /** The units of an enumeration point into @p grid's variant configs:
  * a temporary layout would leave them dangling. */
-GridEnumeration enumerateGrid(const GridLayout &&grid,
-                              bool synth_cache_on) = delete;
+GridEnumeration enumerateGrid(const GridLayout &&grid) = delete;
 
 /**
  * Simulate one fully expanded task grid: the shared engine behind
@@ -569,16 +546,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
             (uint32_t)model.layers.size());
     }
 
-    // Synthesis cache: resolved once per run from the execution
-    // config (0 disables; every task then synthesizes in place).
-    const uint64_t synth_budget =
-        SynthCache::resolveBudget(exec.synth_cache_bytes);
-    SynthCache *synth_cache =
-        synth_budget > 0 ? &SynthCache::shared() : nullptr;
-    if (synth_cache)
-        synth_cache->setBudgetBytes(synth_budget);
-
-    GridEnumeration e = enumerateGrid(grid, synth_cache != nullptr);
+    GridEnumeration e = enumerateGrid(grid);
     const std::vector<SweepUnit> &units = e.units;
     const std::vector<SimTask> &tasks = e.tasks;
     const std::vector<TaskKey> &keys = e.keys;
@@ -632,6 +600,30 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
                          return a.est_cost > b.est_cost;
                      });
 
+    // Every owned exact-tier task is one consumer of its SynthKey: it
+    // either acquires the tensors or hands its use back, so the last
+    // consumer of a key frees them.  settled[i] records that owned[i]
+    // did one of the two; the rest (cancelled, or skipped after a
+    // failure) are released on the way out, even when a task throws.
+    SynthCache &synth = SynthCache::shared();
+    auto isExact = [&](const SimTask &task) {
+        return units[task.unit].config->fidelity == Fidelity::Exact;
+    };
+    {
+        std::unordered_map<uint64_t, size_t> uses;
+        for (const SimTask &task : owned)
+            if (isExact(task))
+                ++uses[task.synth_key];
+        for (const auto &[key, n] : uses)
+            synth.expect(SynthKey{key}, n);
+    }
+    std::vector<uint8_t> settled(owned.size(), 0);
+    auto releaseUnsettled = [&] {
+        for (size_t i = 0; i < owned.size(); ++i)
+            if (!settled[i] && isExact(owned[i]))
+                synth.release(SynthKey{owned[i].synth_key});
+    };
+
     ResultStore *store = exec.cache ? &ResultStore::shared() : nullptr;
     const std::string cache_dir =
         store ? ResultStore::resolveDir(exec.cache_dir) : "";
@@ -662,77 +654,84 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
     std::atomic<size_t> estimated{0};
     std::mutex hook_mu;
     size_t done_tasks = 0; ///< guarded by hook_mu
-    ThreadPool &pool = ThreadPool::shared();
-    pool.parallelFor(
-        owned.size(),
-        [&](size_t i) {
-            // Cancellation drains: tasks already simulating finish
-            // normally (no torn cells), tasks not yet started are
-            // skipped and their slots stay absent — the partial sweep
-            // still serializes and merges like any shard.
-            if (hooks.cancel &&
-                hooks.cancel->load(std::memory_order_relaxed))
-                return;
-            const SimTask &task = owned[i];
-            const SweepUnit &unit = units[task.unit];
-            std::span<const TrainOp> ops =
-                phaseOps(unit.config->phase);
-            const uint32_t want = own_mask[task.slot];
-            LayerResult &out = sweep.layer_results[task.slot];
-            out.cells.resize(ops.size());
-            uint32_t missing = 0;
-            size_t hits = 0;
+    auto runTask = [&](size_t i) {
+        // Cancellation drains: tasks already simulating finish
+        // normally (no torn cells), tasks not yet started are
+        // skipped and their slots stay absent — the partial sweep
+        // still serializes and merges like any shard.
+        if (hooks.cancel &&
+            hooks.cancel->load(std::memory_order_relaxed))
+            return;
+        const SimTask &task = owned[i];
+        const SweepUnit &unit = units[task.unit];
+        std::span<const TrainOp> ops =
+            phaseOps(unit.config->phase);
+        const uint32_t want = own_mask[task.slot];
+        LayerResult &out = sweep.layer_results[task.slot];
+        out.cells.resize(ops.size());
+        uint32_t missing = 0;
+        size_t hits = 0;
+        for (size_t j = 0; j < ops.size(); ++j) {
+            if (!(want & (1u << j)))
+                continue;
+            if (store &&
+                store->lookup(keys[task.first_cell + j],
+                              &out.cells[j], cache_dir))
+                ++hits;
+            else
+                missing |= 1u << j;
+        }
+        const bool estimate = !isExact(task);
+        if (!estimate) {
+            settled[i] = 1;
+            if (!missing)
+                synth.release(SynthKey{task.synth_key});
+        }
+        if (missing) {
+            if (estimate)
+                estimateTaskOps(grid, unit, task, ops, missing,
+                                &out);
+            else
+                simulateTaskOps(grid, unit, task, ops, missing,
+                                fission, &fission_subtasks, &out);
+            std::atomic<size_t> &produced =
+                estimate ? estimated : simulated;
             for (size_t j = 0; j < ops.size(); ++j) {
-                if (!(want & (1u << j)))
+                if (!(missing & (1u << j)))
                     continue;
-                if (store &&
-                    store->lookup(keys[task.first_cell + j],
-                                  &out.cells[j], cache_dir))
-                    ++hits;
-                else
-                    missing |= 1u << j;
+                produced.fetch_add(1, std::memory_order_relaxed);
+                if (store)
+                    store->insert(keys[task.first_cell + j],
+                                  out.cells[j], cache_dir);
             }
-            if (missing) {
-                const bool estimate =
-                    unit.config->fidelity == Fidelity::Estimate;
-                if (estimate)
-                    estimateTaskOps(grid, unit, task, ops, missing,
-                                    &out);
-                else
-                    simulateTaskOps(grid, unit, task, ops, missing,
-                                    synth_cache, fission,
-                                    &fission_subtasks, &out);
-                std::atomic<size_t> &produced =
-                    estimate ? estimated : simulated;
-                for (size_t j = 0; j < ops.size(); ++j) {
-                    if (!(missing & (1u << j)))
-                        continue;
-                    produced.fetch_add(1, std::memory_order_relaxed);
-                    if (store)
-                        store->insert(keys[task.first_cell + j],
-                                      out.cells[j], cache_dir);
-                }
-            }
-            cache_hits.fetch_add(hits, std::memory_order_relaxed);
-            sweep.present[task.slot] = (uint8_t)want;
-            if (hooks.progress) {
-                // Serialized here so the callback needs no locking;
-                // done_tasks counts *processed* tasks (skipped-by-
-                // cancel tasks never report).
-                std::lock_guard<std::mutex> g(hook_mu);
-                SweepProgress p;
-                p.done_tasks = ++done_tasks;
-                p.total_tasks = owned.size();
-                p.cache_hits =
-                    cache_hits.load(std::memory_order_relaxed);
-                p.simulated =
-                    simulated.load(std::memory_order_relaxed);
-                p.estimated =
-                    estimated.load(std::memory_order_relaxed);
-                hooks.progress(p);
-            }
-        },
-        exec.threads);
+        }
+        cache_hits.fetch_add(hits, std::memory_order_relaxed);
+        sweep.present[task.slot] = (uint8_t)want;
+        if (hooks.progress) {
+            // Serialized here so the callback needs no locking;
+            // done_tasks counts *processed* tasks (skipped-by-
+            // cancel tasks never report).
+            std::lock_guard<std::mutex> g(hook_mu);
+            SweepProgress p;
+            p.done_tasks = ++done_tasks;
+            p.total_tasks = owned.size();
+            p.cache_hits =
+                cache_hits.load(std::memory_order_relaxed);
+            p.simulated =
+                simulated.load(std::memory_order_relaxed);
+            p.estimated =
+                estimated.load(std::memory_order_relaxed);
+            hooks.progress(p);
+        }
+    };
+    try {
+        ThreadPool::shared().parallelFor(owned.size(), runTask,
+                                         exec.threads);
+    } catch (...) {
+        releaseUnsettled();
+        throw;
+    }
+    releaseUnsettled();
     sweep.cache_hits = cache_hits.load();
     sweep.simulated = simulated.load();
     sweep.estimated = estimated.load();
@@ -1278,8 +1277,7 @@ std::vector<GridCellInfo>
 ModelRunner::planSweep(const SweepSpec &spec) const
 {
     const GridLayout grid(spec, config_);
-    GridEnumeration e = enumerateGrid(
-        grid, SynthCache::resolveBudget(config_.synth_cache_bytes) > 0);
+    GridEnumeration e = enumerateGrid(grid);
     std::vector<GridCellInfo> cells;
     cells.reserve(e.keys.size());
     for (const SimTask &task : e.tasks) {

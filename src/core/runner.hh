@@ -207,18 +207,6 @@ struct RunConfig
     std::string cache_dir;
 
     /**
-     * Resident-byte budget of the process-wide synthesis cache (see
-     * core/synth_cache.hh), which lets a sweep's N geometry variants
-     * synthesize each (model, progress, layer) cell once: 0 disables
-     * the cache (every task synthesizes in place), positive sets the
-     * LRU budget, negative (the default) resolves TD_SYNTH_CACHE_BYTES
-     * else SynthCache::kDefaultBudgetBytes.  Purely an execution knob
-     * — cached, evicted and disabled runs are bit-identical, so like
-     * threads/cache it is never part of a cell's TaskKey.
-     */
-    int64_t synth_cache_bytes = -1;
-
-    /**
      * Intra-layer task fission threshold, as a multiplier over the
      * grid's mean per-op exact-tier estimateSimCost: an op whose
      * estimated cost exceeds mean x threshold is split into contiguous
@@ -492,7 +480,7 @@ struct SweepSpec
      * Configuration axes, crossed.  Mutators run against a copy of the
      * runner's RunConfig and may change anything that affects what is
      * simulated (accel geometry, DRAM timing, seed, ...); execution
-     * knobs (threads, cache, cache_dir, synth_cache_bytes) and the
+     * knobs (threads, cache, cache_dir) and the
      * progress points are taken from the runner/spec and ignored if
      * mutated.
      */

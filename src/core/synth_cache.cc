@@ -1,6 +1,5 @@
 #include "core/synth_cache.hh"
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/runner.hh"
 
@@ -58,6 +57,31 @@ SynthCache::shared()
     return cache;
 }
 
+void
+SynthCache::expect(const SynthKey &key, size_t uses)
+{
+    if (uses == 0)
+        return;
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<Slot> &slot = map_[key.value];
+    if (!slot)
+        slot = std::make_shared<Slot>();
+    slot->pending += uses;
+}
+
+void
+SynthCache::useLocked(
+    std::unordered_map<uint64_t, std::shared_ptr<Slot>>::iterator it)
+{
+    if (--it->second->pending > 0)
+        return;
+    // Last consumer: an accounted entry leaves the books now; one
+    // still in flight is never accounted (its synthesizer finds the
+    // slot gone), and the holders' pointers keep the tensors alive.
+    resident_ -= it->second->bytes;
+    map_.erase(it);
+}
+
 std::shared_ptr<const SynthTensors>
 SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
 {
@@ -67,14 +91,13 @@ SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
         auto it = map_.find(key.value);
         if (it != map_.end()) {
             slot = it->second;
-            lru_.splice(lru_.begin(), lru_, slot->lru_it);
-        } else {
-            slot = std::make_shared<Slot>();
-            lru_.push_front(key.value);
-            slot->lru_it = lru_.begin();
-            map_.emplace(key.value, slot);
+            useLocked(it);
         }
     }
+    // Nobody registered this acquisition: a private slot synthesizes
+    // and is dropped with the caller's pointer.
+    if (!slot)
+        slot = std::make_shared<Slot>();
 
     // First acquirer synthesizes under the key's own latch; everyone
     // else (including concurrent acquirers of this very key) waits
@@ -97,14 +120,12 @@ SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
         std::lock_guard<std::mutex> lock(mu_);
         if (synthesized) {
             ++counters_.keys;
-            // Account the new entry unless the slot was evicted while
-            // synthesis was in flight (the caller's pointer keeps the
-            // tensors alive either way).
+            // Account the entry only while consumers are still
+            // pending on it (the slot is still mapped).
             auto it = map_.find(key.value);
             if (it != map_.end() && it->second == slot) {
                 slot->bytes = value->bytes;
                 resident_ += slot->bytes;
-                evictLocked();
             }
         } else {
             ++counters_.reuses;
@@ -114,37 +135,12 @@ SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
 }
 
 void
-SynthCache::evictLocked()
-{
-    // Walk from the cold end, skipping in-flight slots (bytes == 0 —
-    // they hold no accounted tensors yet and their synthesizer needs
-    // the map entry to account them).
-    auto it = lru_.end();
-    while (resident_ > budget_ && it != lru_.begin()) {
-        --it;
-        auto mit = map_.find(*it);
-        TD_ASSERT(mit != map_.end(), "LRU entry without a map slot");
-        if (mit->second->bytes == 0)
-            continue;
-        resident_ -= mit->second->bytes;
-        map_.erase(mit);
-        it = lru_.erase(it);
-    }
-}
-
-void
-SynthCache::setBudgetBytes(uint64_t bytes)
+SynthCache::release(const SynthKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    budget_ = bytes;
-    evictLocked();
-}
-
-uint64_t
-SynthCache::budgetBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return budget_;
+    auto it = map_.find(key.value);
+    if (it != map_.end())
+        useLocked(it);
 }
 
 uint64_t
@@ -152,16 +148,6 @@ SynthCache::residentBytes() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return resident_;
-}
-
-size_t
-SynthCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t n = 0;
-    for (const auto &kv : map_)
-        n += kv.second->bytes != 0;
-    return n;
 }
 
 SynthCounters
@@ -182,28 +168,8 @@ void
 SynthCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // Ready entries drop; in-flight slots stay so their synthesizer
-    // still finds (and skips accounting for) a consistent map.
-    auto it = lru_.begin();
-    while (it != lru_.end()) {
-        auto mit = map_.find(*it);
-        TD_ASSERT(mit != map_.end(), "LRU entry without a map slot");
-        if (mit->second->bytes == 0) {
-            ++it;
-            continue;
-        }
-        resident_ -= mit->second->bytes;
-        map_.erase(mit);
-        it = lru_.erase(it);
-    }
-}
-
-uint64_t
-SynthCache::resolveBudget(int64_t configured)
-{
-    if (configured >= 0)
-        return (uint64_t)configured;
-    return env::byteKnob("TD_SYNTH_CACHE_BYTES", kDefaultBudgetBytes);
+    map_.clear();
+    resident_ = 0;
 }
 
 } // namespace tensordash

@@ -24,18 +24,20 @@
  * immutable once published and handed out as shared_ptr-to-const, so
  * readers on any thread share one tensor allocation safely.
  *
- * Memory: a byte-budgeted LRU (TD_SYNTH_CACHE_BYTES or
- * RunConfig::synth_cache_bytes; the default comfortably holds the
- * zoo's largest model's working set) bounds resident tensor bytes.
- * Eviction — and disabling the cache entirely — is bit-identical to
- * synthesizing in place by construction: the same forked per-layer Rng
- * reproduces the same tensors, so the cache only ever changes
- * wall-clock, never output.
+ * Memory: entries live exactly as long as someone still needs them.
+ * A sweep registers, per key, how many of its tasks will consume the
+ * tensors (expect()); every acquire() uses one up and a task that
+ * never acquires hands its use back (release()), so the last consumer
+ * frees the entry.  Peak residency is the set of keys with consumers
+ * still pending, and nothing stays resident once a sweep returns.  An
+ * acquisition nobody registered synthesizes and caches nothing.
+ * Freeing is bit-identical to keeping by construction: the same forked
+ * per-layer Rng reproduces the same tensors, so the cache only ever
+ * changes wall-clock, never output.
  */
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -98,7 +100,7 @@ struct SynthTensors
     double weight_sparsity = 0.0;
     double grad_sparsity = 0.0;
 
-    /** Resident tensor bytes (the LRU accounting unit). */
+    /** Resident tensor bytes (what residentBytes() accounts). */
     uint64_t bytes = 0;
 };
 
@@ -114,7 +116,7 @@ struct SynthCounters
     uint64_t reuses = 0; ///< acquisitions served without synthesizing
 };
 
-/** Process-wide byte-budgeted LRU of synthesized layer tensors. */
+/** Process-wide, use-counted cache of synthesized layer tensors. */
 class SynthCache
 {
   public:
@@ -123,39 +125,39 @@ class SynthCache
     SynthCache(const SynthCache &) = delete;
     SynthCache &operator=(const SynthCache &) = delete;
 
-    /** The process-wide cache every synth-cache-enabled run uses. */
+    /** The process-wide cache every sweep uses. */
     static SynthCache &shared();
 
     /** Produces one layer's tensors (called at most once per key while
-     * the entry stays resident). */
+     * the entry has consumers pending). */
     using SynthFn = std::function<LayerTensors()>;
 
     /**
+     * Register @p uses more consumers of @p key.  Additive, so sweeps
+     * sharing a key may each register their own tasks.  Every
+     * registered use must end in exactly one acquire() or release().
+     */
+    void expect(const SynthKey &key, size_t uses);
+
+    /**
      * Fetch the entry for @p key, synthesizing it via @p synthesize on
-     * first acquisition.  Concurrent acquirers of one key block on the
+     * first acquisition, and use up one registered use; the last use
+     * drops the entry.  Concurrent acquirers of one key block on the
      * key's own latch until the first finishes (the global lock is
      * never held across synthesis); the returned entry is immutable
-     * and stays valid while the caller holds the pointer, even if the
-     * LRU evicts it meanwhile.
+     * and stays valid while the caller holds the pointer.  Without a
+     * registered use the tensors are synthesized and nothing is
+     * cached.
      */
     std::shared_ptr<const SynthTensors>
     acquire(const SynthKey &key, const SynthFn &synthesize);
 
-    /**
-     * Set the resident-byte budget and evict least-recently-used
-     * entries down to it.  A budget smaller than one entry evicts
-     * everything not currently borrowed; acquisitions still work —
-     * each one re-synthesizes.
-     */
-    void setBudgetBytes(uint64_t bytes);
+    /** Hand back one registered use of @p key without acquiring (the
+     * consumer's cells were all warm, or it was cancelled). */
+    void release(const SynthKey &key);
 
-    uint64_t budgetBytes() const;
-
-    /** Bytes of ready entries currently resident (<= budget). */
+    /** Bytes of ready entries currently resident. */
     uint64_t residentBytes() const;
-
-    /** Ready entries currently resident. */
-    size_t entryCount() const;
 
     /** Snapshot of the lifetime synthesize/reuse counters. */
     SynthCounters counters() const;
@@ -163,26 +165,9 @@ class SynthCache
     /** Zero the counters (benches isolating one sweep's traffic). */
     void resetCounters();
 
-    /** Drop every resident entry (borrowed entries stay valid). */
+    /** Drop every entry and its pending uses (borrowed entries stay
+     * valid; later acquirers of a dropped key re-synthesize). */
     void clear();
-
-    /**
-     * Byte budget a run should use for @p configured
-     * (RunConfig::synth_cache_bytes): a non-negative value wins (0 =
-     * the cache is disabled), negative falls back to the
-     * TD_SYNTH_CACHE_BYTES environment variable, else the built-in
-     * default.
-     */
-    static uint64_t resolveBudget(int64_t configured);
-
-    /**
-     * Default resident-byte budget: 256 MiB, ~2.5x the largest zoo
-     * model's full synthesis working set (VGG16, ~104 MiB) and enough
-     * to hold the whole paper suite's single-progress-point grid
-     * (~229 MiB), so every design-space figure reuses across its full
-     * geometry axis.
-     */
-    static constexpr uint64_t kDefaultBudgetBytes = 256ull << 20;
 
   private:
     /** One key's slot: the once-latch plus the published entry.  The
@@ -194,22 +179,20 @@ class SynthCache
         /** Published by the latch winner before any waiter returns
          * (call_once orders the write); never read under mu_. */
         std::shared_ptr<const SynthTensors> value;
-        /** Accounted bytes, guarded by mu_ (0 = not yet accounted —
-         * in-flight slots are never evicted). */
+        /** Accounted bytes, guarded by mu_ (0 = not yet accounted). */
         uint64_t bytes = 0;
-        /** Recency position in lru_, guarded by mu_. */
-        std::list<uint64_t>::iterator lru_it;
+        /** Registered uses not yet acquired or released, guarded by
+         * mu_. */
+        size_t pending = 0;
     };
 
-    /** Evict LRU ready entries until resident_ <= budget_ (mu_
-     * held). */
-    void evictLocked();
+    /** Use up one pending use of @p it; the last one drops the slot
+     * (mu_ held). */
+    void useLocked(
+        std::unordered_map<uint64_t, std::shared_ptr<Slot>>::iterator it);
 
     mutable std::mutex mu_;
     std::unordered_map<uint64_t, std::shared_ptr<Slot>> map_;
-    /** Key recency, most recent first. */
-    std::list<uint64_t> lru_;
-    uint64_t budget_ = kDefaultBudgetBytes;
     uint64_t resident_ = 0;
     SynthCounters counters_;
 };

@@ -11,13 +11,14 @@
  * at most max_shards worker shards, balanced by the closed-form cost
  * estimates the claim loop already trusts (LPT bin packing).
  *
- * Whole layers stay together by default: a layer task shares one
- * synthesis, so scattering its op cells across workers would
- * synthesize the tensors once per worker.  But a *giant* layer whose
- * estimated cost exceeds the per-shard target is split below task
- * grain — its op cells placed independently — trading duplicated
- * synthesis for a bounded shard makespan, exactly the intra-layer
- * fission trade-off one level up.
+ * The cells of one SynthKey stay together by default: every op cell
+ * of a layer, across all of its geometry variants, shares one
+ * synthesis, so scattering them across workers would synthesize the
+ * tensors once per worker.  But a *giant* key group whose estimated
+ * cost exceeds the per-shard target is split below key grain — its
+ * op cells placed independently — trading duplicated synthesis for a
+ * bounded shard makespan, exactly the intra-layer fission trade-off
+ * one level up.
  */
 
 #include <cstdint>
@@ -46,8 +47,8 @@ struct ShardPlan
      * a repeat query never spawns a worker). */
     std::vector<ShardAssignment> shards;
 
-    /** Layer tasks whose op cells were split across >1 shard (the
-     * below-task-grain splits). */
+    /** SynthKey groups whose op cells were split across >1 shard (the
+     * below-key-grain splits). */
     size_t split_tasks = 0;
 
     /** Per-shard cost target the splits were sized against. */

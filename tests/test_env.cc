@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the consolidated environment-knob parser: every TD_*
- * runtime knob resolves through env::intKnob/doubleKnob/byteKnob/
- * stringKnob, so this suite pins the shared contract once — unset
- * falls back silently, a valid value in range wins, and garbage or
- * out-of-range input falls back loudly instead of being half-parsed.
+ * runtime knob resolves through env::intKnob/doubleKnob/stringKnob,
+ * so this suite pins the shared contract once — unset falls back
+ * silently, a valid value in range wins, and garbage or out-of-range
+ * input falls back loudly instead of being half-parsed.
  */
 
 #include <gtest/gtest.h>
@@ -107,35 +107,6 @@ TEST(EnvDouble, GarbageAndRangeFallBack)
     for (const char *v : bad) {
         ScopedEnv e(kVar, v);
         EXPECT_DOUBLE_EQ(env::doubleKnob(kVar, 0.0, 10.0, 4.0), 4.0)
-            << "value '" << v << "' should fall back";
-    }
-}
-
-TEST(EnvByte, UnsetFallsBack)
-{
-    ScopedEnv e(kVar, nullptr);
-    EXPECT_EQ(env::byteKnob(kVar, 1024), 1024u);
-}
-
-TEST(EnvByte, PlainAndZeroParse)
-{
-    {
-        ScopedEnv e(kVar, "4096");
-        EXPECT_EQ(env::byteKnob(kVar, 1024), 4096u);
-    }
-    {
-        // 0 is meaningful (disable the budget), not a parse failure.
-        ScopedEnv e(kVar, "0");
-        EXPECT_EQ(env::byteKnob(kVar, 1024), 0u);
-    }
-}
-
-TEST(EnvByte, GarbageFallsBack)
-{
-    const char *bad[] = {"", "abc", "-1", "1.5", "4k", "1e6"};
-    for (const char *v : bad) {
-        ScopedEnv e(kVar, v);
-        EXPECT_EQ(env::byteKnob(kVar, 1024), 1024u)
             << "value '" << v << "' should fall back";
     }
 }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -482,6 +483,33 @@ TEST(PlanJob, PartitionsColdCellsAndSplitsGiants)
     ASSERT_EQ(again.shards.size(), sp.shards.size());
     for (size_t s = 0; s < sp.shards.size(); ++s)
         EXPECT_EQ(again.shards[s].cells, sp.shards[s].cells);
+}
+
+TEST(PlanJob, KeepsEachSynthKeyInOneShard)
+{
+    ModelRunner runner(svcConfig(9107));
+    SweepSpec spec = tinySpec();
+    spec.axes = {axis("rows", {2, 4}, [](RunConfig &c, int r) {
+        c.accel.tile.rows = r;
+    })};
+    std::vector<GridCellInfo> plan = runner.planSweep(spec);
+
+    // A SynthKey spans both geometry variants of a layer: a shard
+    // holding only some of its cells would synthesize the layer again.
+    for (size_t max_shards : {2, 3}) {
+        ShardPlan sp = planJob(plan, "", max_shards);
+        ASSERT_GE(sp.shards.size(), 2u);
+        EXPECT_EQ(sp.split_tasks, 0u);
+        std::map<uint64_t, std::set<size_t>> key_shards;
+        for (size_t s = 0; s < sp.shards.size(); ++s)
+            for (size_t c : sp.shards[s].cells)
+                key_shards[plan[c].synth_key].insert(s);
+        EXPECT_EQ(key_shards.size(), 5u); // 5 layers x 1 point
+        for (const auto &[key, shards] : key_shards)
+            EXPECT_EQ(shards.size(), 1u)
+                << "synth key " << key << " spans " << shards.size()
+                << " shards at max_shards=" << max_shards;
+    }
 }
 
 TEST(PlanJob, WarmCacheNeedsNoShards)

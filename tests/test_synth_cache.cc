@@ -3,16 +3,17 @@
  * Tests for the content-addressed synthesis cache: SynthKey covers
  * exactly the synthesis-affecting inputs (and nothing else), a
  * multi-variant geometry sweep synthesizes each cell once, sweeps are
- * bit-identical cold vs warm vs disabled at any thread count and
- * under both memory models, the byte-budgeted LRU respects its budget
- * and re-synthesizes evicted cells bit-identically, and custom
- * synthesize hooks key on their salt.
+ * bit-identical at any thread count and under both memory models,
+ * every entry is freed by its last consumer — whether the sweep
+ * completes, finds every cell warm, is cancelled or fails — and
+ * custom synthesize hooks key on their salt.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/tensordash.hh"
@@ -170,7 +171,6 @@ TEST(SynthKeyTest, CoversSynthesisInputsOnly)
         RunConfig c = cfg;
         c.cache = true;
         c.threads = 3;
-        c.synth_cache_bytes = 123;
         EXPECT_EQ(base, SynthKey::forCell(c, model, 0, 0.5).value);
     }
 
@@ -245,10 +245,9 @@ TEST(SynthCacheTest, BitIdentityColdWarmDisabledAcrossThreads)
         spec.progress_points = {0.25, 0.75};
         spec.axes = {rowsAxis({2, 4})};
 
-        // Reference: cache disabled, single thread.
+        // Reference: single thread.
         RunConfig ref_cfg = cfg;
         ref_cfg.threads = 1;
-        ref_cfg.synth_cache_bytes = 0;
         std::vector<uint8_t> want =
             contentBytes(ModelRunner(ref_cfg).runSweep(spec));
 
@@ -256,102 +255,181 @@ TEST(SynthCacheTest, BitIdentityColdWarmDisabledAcrossThreads)
             RunConfig c = cfg;
             c.threads = threads;
 
-            c.synth_cache_bytes = 0; // disabled
-            EXPECT_EQ(want,
-                      contentBytes(ModelRunner(c).runSweep(spec)))
-                << "disabled, threads=" << threads;
-
-            c.synth_cache_bytes = 256 << 20;
             SynthCache::shared().clear(); // cold
             EXPECT_EQ(want,
                       contentBytes(ModelRunner(c).runSweep(spec)))
                 << "cold, threads=" << threads;
+            EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
 
-            // warm: same keys, served from the ready entries
+            // A rerun synthesizes again: the first run's entries died
+            // with their last consumers.
             EXPECT_EQ(want,
                       contentBytes(ModelRunner(c).runSweep(spec)))
-                << "warm, threads=" << threads;
+                << "rerun, threads=" << threads;
+            EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
         }
     }
 }
 
-TEST(SynthCacheTest, TinyBudgetEvictsYetStaysBitIdentical)
+/** The 2-variant grid of the last-consumer tests. */
+SweepSpec
+twoVariantSpec()
 {
-    RunConfig cfg = specConfig(9400);
-
     SweepSpec spec;
     spec.models = tinyModels();
     spec.progress_points = {0.5};
     spec.axes = {rowsAxis({2, 4})};
-
-    RunConfig ref_cfg = cfg;
-    ref_cfg.synth_cache_bytes = 0;
-    std::vector<uint8_t> want =
-        contentBytes(ModelRunner(ref_cfg).runSweep(spec));
-
-    // A 1-byte budget evicts every entry as soon as it is accounted:
-    // reuse still happens for concurrent holders, but the steady
-    // state is constant eviction and re-synthesis.
-    RunConfig c = cfg;
-    c.synth_cache_bytes = 1;
-    SynthCache::shared().clear();
-    EXPECT_EQ(want, contentBytes(ModelRunner(c).runSweep(spec)));
-    EXPECT_LE(SynthCache::shared().residentBytes(), 1u);
+    return spec;
 }
 
-TEST(SynthCacheTest, LruEvictionRespectsByteBudget)
+/** Cold sweep of @p spec that must leave nothing resident.  A use
+ * leaked by an earlier sweep of the same keys would keep that key's
+ * entry alive past this sweep's last consumer. */
+void
+expectColdSweepFreesAll(const RunConfig &cfg, const SweepSpec &spec)
+{
+    RunConfig c = cfg;
+    c.cache = false;
+    const SynthCounters before = SynthCache::shared().counters();
+    EXPECT_TRUE(ModelRunner(c).runSweep(spec).complete());
+    EXPECT_EQ(SynthCache::shared().counters().keys - before.keys, 5u);
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
+}
+
+TEST(SynthCacheTest, CompleteSweepFreesAtLastConsumer)
+{
+    RunConfig cfg = specConfig(9400);
+    SynthCache::shared().clear();
+    const SynthCounters before = SynthCache::shared().counters();
+    SweepResult sweep = ModelRunner(cfg).runSweep(twoVariantSpec());
+    const SynthCounters after = SynthCache::shared().counters();
+    ASSERT_TRUE(sweep.complete());
+    // 5 keys, each synthesized once and reused by its second variant
+    // while resident, then freed by that last consumer.
+    EXPECT_EQ(after.keys - before.keys, 5u);
+    EXPECT_EQ(after.reuses - before.reuses, 5u);
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
+    expectColdSweepFreesAll(cfg, twoVariantSpec());
+}
+
+TEST(SynthCacheTest, AllWarmRerunReleasesItsUses)
+{
+    RunConfig cfg = specConfig(9410);
+    cfg.cache = true; // the rerun's cells come from the result memo
+    ModelRunner runner(cfg);
+    ASSERT_TRUE(runner.runSweep(twoVariantSpec()).complete());
+
+    // Every task of the rerun is warm: none acquires, each releases.
+    const SynthCounters before = SynthCache::shared().counters();
+    SweepResult warm = runner.runSweep(twoVariantSpec());
+    EXPECT_EQ(warm.simulated, 0u);
+    EXPECT_EQ(SynthCache::shared().counters().keys, before.keys);
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
+    expectColdSweepFreesAll(cfg, twoVariantSpec());
+}
+
+TEST(SynthCacheTest, CancelledSweepReleasesItsUses)
+{
+    RunConfig cfg = specConfig(9420);
+    std::atomic<bool> stop{true};
+    RunHooks hooks;
+    hooks.cancel = &stop;
+    const SynthCounters before = SynthCache::shared().counters();
+    SweepResult cancelled =
+        ModelRunner(cfg).runSweep(twoVariantSpec(), hooks);
+    EXPECT_EQ(cancelled.presentCellCount(), 0u);
+    EXPECT_EQ(SynthCache::shared().counters().keys, before.keys);
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
+    expectColdSweepFreesAll(cfg, twoVariantSpec());
+}
+
+TEST(SynthCacheTest, FailedSweepReleasesItsUses)
+{
+    RunConfig cfg = specConfig(9430);
+    cfg.threads = 1;
+    SweepSpec spec = twoVariantSpec();
+    spec.synthesis_salt = 13;
+    // Layer 1 of every model fails; whatever was synthesized before
+    // the failure, and every task the failure skipped, must let go.
+    std::atomic<bool> fail{true};
+    spec.synthesize = [&fail](const RunConfig &c, const ModelProfile &m,
+                              size_t layer, double progress) {
+        if (fail && layer == 1)
+            throw std::runtime_error("synthesis failed");
+        Rng rng(c.seed + layer);
+        return ModelZoo::synthesize(m, m.layers[layer], progress, rng);
+    };
+    EXPECT_THROW(ModelRunner(cfg).runSweep(spec), std::runtime_error);
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u);
+    fail = false;
+    expectColdSweepFreesAll(cfg, spec);
+}
+
+TEST(SynthCacheTest, UnregisteredAcquireCachesNothing)
+{
+    SynthCache &cache = SynthCache::shared();
+    ModelProfile model = tinyModel();
+    const LayerSpec &layer = model.layers[0];
+    const SynthKey key{0xabc000};
+    std::atomic<int> synth_calls{0};
+    auto synth = [&]() -> LayerTensors {
+        ++synth_calls;
+        Rng rng(1000);
+        return ModelZoo::synthesize(model, layer, 0.5, rng);
+    };
+
+    // No expect(): each acquisition synthesizes and keeps nothing.
+    const SynthCounters before = cache.counters();
+    auto a = cache.acquire(key, synth);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    auto b = cache.acquire(key, synth);
+    EXPECT_EQ(synth_calls.load(), 2);
+    EXPECT_EQ(cache.counters().keys - before.keys, 2u);
+    EXPECT_EQ(cache.counters().reuses, before.reuses);
+    EXPECT_EQ(a->tensors.acts.maxAbsDiff(b->tensors.acts), 0.0f);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+}
+
+TEST(SynthCacheTest, ExpectedUsesEndAtLastAcquireOrRelease)
 {
     SynthCache cache;
     ModelProfile model = tinyModel();
     const LayerSpec &layer = model.layers[0];
-
-    auto makeKey = [](uint64_t i) { return SynthKey{0xabc000 + i}; };
     std::atomic<int> synth_calls{0};
-    auto synthAt = [&](uint64_t i) {
-        return [&, i]() -> LayerTensors {
-            ++synth_calls;
-            Rng rng(1000 + i);
-            return ModelZoo::synthesize(model, layer, 0.5, rng);
-        };
+    auto synth = [&]() -> LayerTensors {
+        ++synth_calls;
+        Rng rng(1001);
+        return ModelZoo::synthesize(model, layer, 0.5, rng);
     };
 
-    auto first = cache.acquire(makeKey(0), synthAt(0));
-    const uint64_t entry_bytes = first->bytes;
-    ASSERT_GT(entry_bytes, 0u);
+    // Three uses, registered additively: two acquisitions share one
+    // synthesis, and the third use handed back frees the entry.
+    const SynthKey key{0xabc001};
+    cache.expect(key, 2);
+    cache.expect(key, 1);
+    auto first = cache.acquire(key, synth);
+    EXPECT_EQ(cache.residentBytes(), first->bytes);
+    auto second = cache.acquire(key, synth);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(cache.residentBytes(), first->bytes);
+    cache.release(key);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    EXPECT_EQ(synth_calls.load(), 1);
 
-    // Budget for two entries: inserting a third evicts the least
-    // recently used.
-    cache.setBudgetBytes(2 * entry_bytes);
-    cache.acquire(makeKey(1), synthAt(1));
-    cache.acquire(makeKey(0), synthAt(0)); // key 0 now most recent
-    cache.acquire(makeKey(2), synthAt(2)); // evicts key 1
-    EXPECT_EQ(synth_calls.load(), 3);
-    EXPECT_LE(cache.residentBytes(), cache.budgetBytes());
-    EXPECT_EQ(cache.entryCount(), 2u);
+    // A released-only key never synthesizes; a last acquisition frees
+    // its own entry before returning it.
+    cache.expect(key, 2);
+    cache.release(key);
+    auto last = cache.acquire(key, synth);
+    EXPECT_EQ(synth_calls.load(), 2);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    EXPECT_EQ(last->tensors.acts.maxAbsDiff(first->tensors.acts), 0.0f);
 
-    // Key 0 survived (recent); key 1 was evicted and re-synthesizes
-    // bit-identically — same Rng, same tensors.
-    cache.acquire(makeKey(0), synthAt(0));
-    EXPECT_EQ(synth_calls.load(), 3);
-    auto again = cache.acquire(makeKey(1), synthAt(1));
-    EXPECT_EQ(synth_calls.load(), 4);
-    Rng rng(1001);
-    LayerTensors direct = ModelZoo::synthesize(model, layer, 0.5, rng);
-    EXPECT_EQ(again->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
-    EXPECT_EQ(again->tensors.weights.maxAbsDiff(direct.weights), 0.0f);
-    EXPECT_EQ(again->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
-
+    // Releasing an unregistered key is harmless.
+    cache.release(SynthKey{0xabc002});
     const SynthCounters c = cache.counters();
-    EXPECT_EQ(c.keys, 4u);   // three keys + one re-synthesis
-    EXPECT_EQ(c.reuses, 2u); // the two warm re-acquisitions of key 0
-
-    // A budget below one entry keeps nothing resident but still
-    // serves every acquisition.
-    cache.setBudgetBytes(1);
-    EXPECT_EQ(cache.entryCount(), 0u);
-    auto v = cache.acquire(makeKey(5), synthAt(5));
-    ASSERT_NE(v, nullptr);
-    EXPECT_LE(cache.residentBytes(), 1u);
+    EXPECT_EQ(c.keys, 2u);
+    EXPECT_EQ(c.reuses, 1u);
 }
 
 TEST(SynthCacheTest, CustomHookSweepsKeyOnSalt)
