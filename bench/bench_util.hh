@@ -43,8 +43,8 @@ namespace bench {
  *                    per repetition (for scaling measurements)
  *   --csv PATH       also write the figure's table as CSV to PATH
  *   --json PATH      write machine-readable run stats (wall-clock ms,
- *                    cells, cache/synth counters, fission subtasks) to
- *                    PATH — the perf-trajectory artifact CI uploads
+ *                    tasks, cells, cache and synth counters) to PATH —
+ *                    the perf-trajectory artifact CI uploads
  *   --cache-dir DIR  on-disk result cache shared across runs and
  *                    processes (default: the TD_CACHE environment
  *                    variable; in-memory memoisation is always on)
@@ -201,7 +201,6 @@ struct BenchJsonStats
     size_t cache_hits = 0;
     size_t estimated = 0;
     size_t simulated = 0;
-    size_t fission_subtasks = 0;
     size_t synth_keys = 0;
     size_t synth_reuses = 0;
     double wall_ms = 0.0;
@@ -236,13 +235,12 @@ writeBenchJson(const Options &opts, int threads)
                  "  \"cache_hits\": %zu,\n"
                  "  \"estimated\": %zu,\n"
                  "  \"simulated\": %zu,\n"
-                 "  \"fission_subtasks\": %zu,\n"
                  "  \"synth_keys\": %zu,\n"
                  "  \"synth_reuses\": %zu\n"
                  "}\n",
                  s.wall_ms, threads, opts.reps, s.tasks, s.cells,
-                 s.cache_hits, s.estimated, s.simulated,
-                 s.fission_subtasks, s.synth_keys, s.synth_reuses);
+                 s.cache_hits, s.estimated, s.simulated, s.synth_keys,
+                 s.synth_reuses);
     std::fclose(f);
     std::printf("json written to %s\n", opts.json.c_str());
 }
@@ -313,7 +311,6 @@ reportCache(const SweepResult &sweep)
     j.cache_hits = sweep.cache_hits;
     j.estimated = sweep.estimated;
     j.simulated = sweep.simulated;
-    j.fission_subtasks = sweep.fission_subtasks;
     j.synth_keys = (size_t)s.keys;
     j.synth_reuses = (size_t)s.reuses;
 }

@@ -5,9 +5,9 @@
  * @file
  * Validated environment-variable parsing.
  *
- * Every TD_* execution knob (TD_THREADS, TD_FISSION, TD_CACHE, ...)
- * resolves through these helpers instead of ad-hoc strtol calls
- * scattered across subsystems, so all knobs share one contract:
+ * Every TD_* execution knob (TD_THREADS, TD_CACHE, ...) resolves
+ * through these helpers instead of ad-hoc strtol calls scattered
+ * across subsystems, so all knobs share one contract:
  *
  *  - unset          -> the caller's fallback, silently;
  *  - well-formed    -> the parsed value, range-checked;
@@ -33,13 +33,6 @@ namespace env {
  * of range.
  */
 long intKnob(const char *name, long min, long max, long fallback);
-
-/**
- * Floating-point knob in [@p min, @p max] (e.g. TD_FISSION's cost
- * multiplier).  Same contract as intKnob.
- */
-double doubleKnob(const char *name, double min, double max,
-                  double fallback);
 
 /**
  * String knob (e.g. TD_CACHE's directory).  Returns @p fallback when

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
@@ -138,33 +136,6 @@ struct SimTask
     double est_cost;
 };
 
-/**
- * Intra-layer fission plan shared by every simulation task of one
- * run: ops whose estimated simulation cost exceeds the threshold
- * split into up to max_parts contiguous job ranges (see
- * Accelerator::runOp).  threshold <= 0 disables fission.
- */
-struct FissionPolicy
-{
-    double threshold = 0.0; ///< absolute estimateSimCost units
-    int max_parts = 1;
-};
-
-/**
- * Resolve RunConfig::fission_threshold to a cost multiplier: a
- * non-negative config value wins, otherwise TD_FISSION, otherwise the
- * default of 4x the grid's mean per-op cost — high enough that only
- * genuine giant-layer tails split, low enough to cap them.
- */
-double
-resolveFissionMultiplier(double config_value)
-{
-    if (config_value >= 0.0)
-        return config_value;
-    return env::doubleKnob("TD_FISSION", 0.0,
-                           std::numeric_limits<double>::max(), 4.0);
-}
-
 /** Synthesis volume of one layer's tensors (elements of acts +
  * weights + grads) — the work a task pays once if any cell misses. */
 double
@@ -213,9 +184,7 @@ synthesizeLayer(const SweepUnit &unit, size_t layer)
 void
 simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
                 const SimTask &task, std::span<const TrainOp> ops,
-                uint32_t missing, const FissionPolicy &fission,
-                std::atomic<uint64_t> *fission_subtasks,
-                LayerResult *out)
+                uint32_t missing, LayerResult *out)
 {
     const RunConfig &config = *unit.config;
     std::shared_ptr<const SynthTensors> st =
@@ -249,46 +218,19 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
         out_sparsity[(int)TrainOp::BackwardData] = st->grad_sparsity;
     }
     const LayerSpec &layer = unit.model->layers[task.layer];
-    const bool fission_active =
-        fission.threshold > 0.0 && fission.max_parts > 1;
-    CellSparsity fission_sp;
-    if (fission_active)
-        fission_sp = effectiveCellSparsity(*unit.model, task.layer,
-                                           unit.progress);
     for (size_t j = 0; j < ops.size(); ++j) {
         if (!(missing & (1u << j)))
             continue;
         TrainOp op = ops[j];
-        // Ops past the fission threshold split into contiguous job
-        // ranges, bounded by the run's parallelism and by the op's own
-        // sampled job count.  Purely an execution decision: results
-        // are bit-identical at any part count.
-        int parts = 1;
-        if (fission_active) {
-            OpEstimator::SimCostDetail detail =
-                OpEstimator::estimateSimCostDetail(
-                    accel_cfg, layer, unit.model->batch, op,
-                    fission_sp);
-            if (detail.cost > fission.threshold) {
-                double cap =
-                    std::max(std::min((double)fission.max_parts,
-                                      detail.sampled_jobs), 1.0);
-                parts = (int)std::min(
-                    std::ceil(detail.cost / fission.threshold), cap);
-            }
-        }
         OpCellResult &cell = out->cells[j];
         cell.op = layer.fc
             ? accel.runFcOp(op, t.acts, t.weights, t.grads,
-                            out_sparsity[(int)op], parts)
+                            out_sparsity[(int)op])
             : accel.runConvOp(op, t.acts, t.weights, t.grads, t.spec,
-                              out_sparsity[(int)op], parts);
+                              out_sparsity[(int)op]);
         cell.energy_base = accel.energy(cell.op, false);
         cell.energy_td = accel.energy(cell.op, true);
     }
-    if (fission_subtasks && accel.fissionSubtasks())
-        fission_subtasks->fetch_add(accel.fissionSubtasks(),
-                                    std::memory_order_relaxed);
 }
 
 /**
@@ -373,10 +315,6 @@ struct GridEnumeration
     /** Synthesis volume charged per slot (0 for reusers of an
      * already-charged SynthKey). */
     std::vector<double> task_synth_costs;
-
-    /** Exact-tier per-op cost statistics (fission threshold base). */
-    double exact_op_cost = 0.0;
-    size_t exact_op_cells = 0;
 };
 
 /**
@@ -477,10 +415,6 @@ enumerateGrid(const GridLayout &grid)
                             model->batch, op, sp);
                         e.cell_costs.push_back(op_cost);
                         cost += op_cost;
-                        if (!estimate) {
-                            e.exact_op_cost += op_cost;
-                            ++e.exact_op_cells;
-                        }
                     }
                     e.task_synth_costs.push_back(synth_cost);
                     e.tasks.push_back({e.units.size(), l,
@@ -628,22 +562,6 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
     const std::string cache_dir =
         store ? ResultStore::resolveDir(exec.cache_dir) : "";
 
-    // Fission plan for this run: resolved once from the execution
-    // config (threshold multiplier x grid mean per-op cost) and shared
-    // read-only by every task.  A serial run (threads == 1) keeps
-    // max_parts at 1 and never splits.
-    FissionPolicy fission;
-    const double fission_mult =
-        resolveFissionMultiplier(exec.fission_threshold);
-    if (fission_mult > 0.0 && e.exact_op_cells > 0) {
-        fission.threshold =
-            e.exact_op_cost / (double)e.exact_op_cells * fission_mult;
-        fission.max_parts = exec.threads > 0
-            ? exec.threads
-            : ThreadPool::shared().size();
-    }
-    std::atomic<uint64_t> fission_subtasks{0};
-
     // Run pass: one stateless task per owned layer.  Each op cell
     // consults the result store independently — a layer whose Forward
     // cell is warm (say, from a training sweep feeding this inference
@@ -692,8 +610,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
                 estimateTaskOps(grid, unit, task, ops, missing,
                                 &out);
             else
-                simulateTaskOps(grid, unit, task, ops, missing,
-                                fission, &fission_subtasks, &out);
+                simulateTaskOps(grid, unit, task, ops, missing, &out);
             std::atomic<size_t> &produced =
                 estimate ? estimated : simulated;
             for (size_t j = 0; j < ops.size(); ++j) {
@@ -735,7 +652,6 @@ runGrid(const RunConfig &exec, const GridLayout &grid,
     sweep.cache_hits = cache_hits.load();
     sweep.simulated = simulated.load();
     sweep.estimated = estimated.load();
-    sweep.fission_subtasks = (size_t)fission_subtasks.load();
 
     // Reduce: merge in serial (layer, op) order, making the aggregates
     // bit-identical to a single-threaded, uncached, unsharded run.  A
@@ -1133,7 +1049,6 @@ SweepResult::merge(const SweepResult &other)
     cache_hits += other.cache_hits;
     simulated += other.simulated;
     estimated += other.estimated;
-    fission_subtasks += other.fission_subtasks;
     if (complete())
         reduce();
 }
@@ -1185,11 +1100,20 @@ SweepResult::deserialize(const std::vector<uint8_t> &bytes,
         return false;
     SweepResult s;
     s.fingerprint = r.u64();
-    s.memory_model = (MemoryModel)r.u8();
+    // Enum bytes past the last enumerator are corruption: the encoder
+    // never writes them, and memoryModelName() panics on them.
+    uint8_t memory_model = r.u8();
+    if (memory_model > (uint8_t)MemoryModel::Pipelined)
+        return false;
+    s.memory_model = (MemoryModel)memory_model;
     uint32_t nvariants = r.u32();
     for (uint32_t v = 0; r.ok() && v < nvariants; ++v) {
         s.variants.push_back(r.str());
-        s.variant_memory_models.push_back((MemoryModel)r.u8());
+        uint8_t variant_memory_model = r.u8();
+        if (variant_memory_model > (uint8_t)MemoryModel::Pipelined)
+            return false;
+        s.variant_memory_models.push_back(
+            (MemoryModel)variant_memory_model);
         uint8_t phase = r.u8();
         if (phase > (uint8_t)WorkloadPhase::Inference)
             return false;

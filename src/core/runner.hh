@@ -205,20 +205,6 @@ struct RunConfig
      * when cache is false.
      */
     std::string cache_dir;
-
-    /**
-     * Intra-layer task fission threshold, as a multiplier over the
-     * grid's mean per-op exact-tier estimateSimCost: an op whose
-     * estimated cost exceeds mean x threshold is split into contiguous
-     * job ranges run as subtasks on the shared pool, shrinking the
-     * giant-layer tail that otherwise bounds the sweep makespan.
-     * 0 disables fission, positive sets the multiplier, negative (the
-     * default) resolves TD_FISSION else 4.0.  Purely an execution knob
-     * — fissioned and unfissioned runs are bit-identical and share
-     * cache entries, so like threads/cache it is never part of a
-     * cell's TaskKey.
-     */
-    double fission_threshold = -1.0;
 };
 
 /**
@@ -679,12 +665,8 @@ struct SweepResult
      * simulated == 0: it never touches the exact simulator. */
     size_t estimated = 0;
 
-    /** Intra-layer fission subtasks launched while simulating this
-     * sweep (0 when fission is disabled or nothing crossed the
-     * threshold).  Local execution bookkeeping like wall-clock, NOT a
-     * result: deliberately excluded from serialize()/deserialize() so
-     * the shard format — and therefore cache sharing with unfissioned
-     * runs — is unchanged; deserialized shards contribute 0. */
+    /** Always 0; kept because frozen perfbench reads it.  Never
+     * serialized. */
     size_t fission_subtasks = 0;
 
     /** Variant-major grid:

@@ -17,8 +17,7 @@
  * tensors once per worker.  But a *giant* key group whose estimated
  * cost exceeds the per-shard target is split below key grain — its
  * op cells placed independently — trading duplicated synthesis for a
- * bounded shard makespan, exactly the intra-layer fission trade-off
- * one level up.
+ * bounded shard makespan.
  */
 
 #include <cstdint>

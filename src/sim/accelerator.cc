@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "sim/memory/compressing_dma.hh"
 #include "sim/memory/transposer.hh"
 
@@ -57,7 +56,12 @@ OpResult::serialize(ByteWriter &w) const
 void
 OpResult::deserialize(ByteReader &r)
 {
-    op = (TrainOp)r.u8();
+    uint8_t op_byte = r.u8();
+    if (op_byte > (uint8_t)TrainOp::BackwardWeights) {
+        r.fail(); // never written by serialize()
+        return;
+    }
+    op = (TrainOp)op_byte;
     base_cycles = r.f64();
     td_cycles = r.f64();
     base_mem_stall_cycles = r.f64();
@@ -81,7 +85,7 @@ Accelerator::Accelerator(const AcceleratorConfig &config)
 
 OpResult
 Accelerator::runOp(const LoweredOp &lowered, GateOperand gate,
-                   int fission_parts) const
+                   int) const
 {
     OpResult result;
     result.op = lowered.op;
@@ -94,56 +98,17 @@ Accelerator::runOp(const LoweredOp &lowered, GateOperand gate,
         sparse_enabled = gate_.enabled(gateOperandName(gate));
     result.gated = !sparse_enabled;
 
-    size_t njobs = lowered.jobs.size();
-    size_t parts = std::min((size_t)std::max(fission_parts, 1), njobs);
-
     double base_cycles = 0.0;
     double td_cycles = 0.0;
     TileStats stats;
-    if (sparse_enabled && parts > 1) {
-        // Intra-op fission: contiguous job ranges run as subtasks on
-        // the shared pool, each with its own Tile (the staging scratch
-        // makes tiles non-shareable).  Bit-identity with the serial
-        // loop needs care with floating point: every job's weighted
-        // cycle product lands in its own pre-sized slot and the double
-        // sums reduce serially in job order below, so any part count
-        // or thread count reproduces the serial sum exactly.  The
-        // uint64 TileStats counters are associative, so per-part
-        // accumulators merged in part order are already exact.
-        std::vector<double> job_td(njobs, 0.0);
-        std::vector<TileStats> part_stats(parts);
-        ThreadPool::shared().parallelFor(
-            parts,
-            [&](size_t part) {
-                size_t lo = njobs * part / parts;
-                size_t hi = njobs * (part + 1) / parts;
-                Tile tile(config_.tile);
-                for (size_t j = lo; j < hi; ++j) {
-                    const TileJob &job = lowered.jobs[j];
-                    uint64_t cycles = tile.run(job, part_stats[part]);
-                    job_td[j] = (double)cycles * job.weight;
-                }
-            },
-            (int)parts);
-        fission_subtasks_ += parts;
-        for (size_t j = 0; j < njobs; ++j) {
-            const TileJob &job = lowered.jobs[j];
-            base_cycles +=
-                (double)Tile::baselineCycles(job) * job.weight;
-            td_cycles += job_td[j];
-        }
-        for (const TileStats &part : part_stats)
-            stats.merge(part);
-    } else {
-        for (const TileJob &job : lowered.jobs) {
-            uint64_t dense = Tile::baselineCycles(job);
-            base_cycles += (double)dense * job.weight;
-            if (sparse_enabled) {
-                uint64_t cycles = tile_.run(job, stats);
-                td_cycles += (double)cycles * job.weight;
-            } else {
-                td_cycles += (double)dense * job.weight;
-            }
+    for (const TileJob &job : lowered.jobs) {
+        uint64_t dense = Tile::baselineCycles(job);
+        base_cycles += (double)dense * job.weight;
+        if (sparse_enabled) {
+            uint64_t cycles = tile_.run(job, stats);
+            td_cycles += (double)cycles * job.weight;
+        } else {
+            td_cycles += (double)dense * job.weight;
         }
     }
 
@@ -171,8 +136,7 @@ Accelerator::runOp(const LoweredOp &lowered, GateOperand gate,
 OpResult
 Accelerator::runConvOp(TrainOp op, const Tensor &acts,
                        const Tensor &weights, const Tensor &out_grads,
-                       const ConvSpec &spec, double out_sparsity,
-                       int fission_parts) const
+                       const ConvSpec &spec, double out_sparsity) const
 {
     Dataflow dataflow(config_.dataflow(false));
     LoweredOp lowered;
@@ -223,7 +187,7 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
         break;
     }
 
-    OpResult result = runOp(lowered, gate, fission_parts);
+    OpResult result = runOp(lowered, gate);
     applyMemory(result, memoryDemand(in0_nz, in0_total, in1_nz,
                                      in1_total, out_total, out_sparsity,
                                      transposed));
@@ -233,7 +197,7 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
 OpResult
 Accelerator::runFcOp(TrainOp op, const Tensor &acts,
                      const Tensor &weights, const Tensor &out_grads,
-                     double out_sparsity, int fission_parts) const
+                     double out_sparsity) const
 {
     Dataflow dataflow(config_.dataflow(false));
     LoweredOp lowered;
@@ -285,7 +249,7 @@ Accelerator::runFcOp(TrainOp op, const Tensor &acts,
         break;
     }
 
-    OpResult result = runOp(lowered, gate, fission_parts);
+    OpResult result = runOp(lowered, gate);
     applyMemory(result, memoryDemand(in0_nz, in0_total, in1_nz,
                                      in1_total, out_total, out_sparsity,
                                      transposed));

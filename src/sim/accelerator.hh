@@ -240,21 +240,19 @@ class Accelerator
     const PowerGateController &powerGate() const { return gate_; }
 
     /**
-     * Run one lowered operation (performance mode).
+     * Run one lowered operation (performance mode).  Jobs run
+     * serially, in order, on this accelerator's one Tile.  The unnamed
+     * third parameter is ignored; it exists only because the frozen
+     * perfbench replay (perfbench/replay.cc) calls
+     * runOp(lowered, gate, 1).
      *
      * @param lowered       sampled tile jobs
      * @param gate          power-gating identity of the scheduled
      *                      operand (None = never gate)
-     * @param fission_parts split the job list into up to this many
-     *                      contiguous subtask ranges run on the shared
-     *                      ThreadPool, each with its own Tile.  Results
-     *                      are bit-identical to the serial loop for any
-     *                      value (<= 1: run serially).
      * @return cycle counts and tile-side activity
      */
     OpResult runOp(const LoweredOp &lowered,
-                   GateOperand gate = GateOperand::None,
-                   int fission_parts = 1) const;
+                   GateOperand gate = GateOperand::None, int = 1) const;
 
     /**
      * Lower and run one convolution training op including the memory
@@ -267,12 +265,11 @@ class Accelerator
      * @param spec          stride/padding
      * @param out_sparsity  estimated zero fraction of the op's output
      *                      (used to size the compressed write-back)
-     * @param fission_parts forwarded to runOp
      */
     OpResult runConvOp(TrainOp op, const Tensor &acts,
                        const Tensor &weights, const Tensor &out_grads,
-                       const ConvSpec &spec, double out_sparsity = 0.0,
-                       int fission_parts = 1) const;
+                       const ConvSpec &spec,
+                       double out_sparsity = 0.0) const;
 
     /**
      * Lower and run one matmul/fully-connected training op including
@@ -286,12 +283,10 @@ class Accelerator
      * @param weights       W (F, C, 1, 1)
      * @param out_grads     GO (N, F, 1, 1); may be empty for Forward
      * @param out_sparsity  estimated zero fraction of the op's output
-     * @param fission_parts forwarded to runOp
      */
     OpResult runFcOp(TrainOp op, const Tensor &acts,
                      const Tensor &weights, const Tensor &out_grads,
-                     double out_sparsity = 0.0,
-                     int fission_parts = 1) const;
+                     double out_sparsity = 0.0) const;
 
     /**
      * Functional run: exhaustive lowering with values, producing the
@@ -304,9 +299,6 @@ class Accelerator
 
     /** The energy model in use. */
     const EnergyModel &energyModel() const { return energy_model_; }
-
-    /** Fission subtasks launched so far (0 when nothing was split). */
-    uint64_t fissionSubtasks() const { return fission_subtasks_; }
 
   private:
     /** Off-chip traffic of one op, identical for baseline and
@@ -331,9 +323,6 @@ class Accelerator
     AcceleratorConfig config_;
     /** Scratch-carrying cycle model; results don't depend on it. */
     mutable Tile tile_;
-    /** Bookkeeping only (never part of a result); mutable like the
-     * tile scratch — an Accelerator is single-threaded by contract. */
-    mutable uint64_t fission_subtasks_ = 0;
     EnergyModel energy_model_;
     PowerGateController gate_;
 };

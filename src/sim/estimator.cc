@@ -732,16 +732,6 @@ OpEstimator::estimateSimCost(const AcceleratorConfig &config,
                              const LayerSpec &layer, int batch,
                              TrainOp op, const CellSparsity &sparsity)
 {
-    return estimateSimCostDetail(config, layer, batch, op, sparsity)
-        .cost;
-}
-
-OpEstimator::SimCostDetail
-OpEstimator::estimateSimCostDetail(const AcceleratorConfig &config,
-                                   const LayerSpec &layer, int batch,
-                                   TrainOp op,
-                                   const CellSparsity &sparsity)
-{
     OpGeom g = resolveOpGeom(config, layer, batch, op, sparsity);
     JobGrid jg = resolveJobGrid(config, g);
     const TileConfig &tile = config.tile;
@@ -765,10 +755,7 @@ OpEstimator::estimateSimCostDetail(const AcceleratorConfig &config,
                    curveParams(tile.interconnect));
     double schedule = 2.2 * sampled * steps * eff * mean_rows * lanes;
 
-    SimCostDetail detail;
-    detail.cost = gather + schedule;
-    detail.sampled_jobs = sampled;
-    return detail;
+    return gather + schedule;
 }
 
 } // namespace tensordash

@@ -137,21 +137,6 @@ class OpEstimator
                                   TrainOp op,
                                   const CellSparsity &sparsity);
 
-    /** estimateSimCost plus the geometry the fission planner needs. */
-    struct SimCostDetail
-    {
-        /** Same value estimateSimCost returns. */
-        double cost = 0.0;
-        /** Sampled tile jobs the op will actually run — the upper
-         * bound on useful intra-op fission parts. */
-        double sampled_jobs = 0.0;
-    };
-
-    static SimCostDetail
-    estimateSimCostDetail(const AcceleratorConfig &config,
-                          const LayerSpec &layer, int batch, TrainOp op,
-                          const CellSparsity &sparsity);
-
   private:
     AcceleratorConfig config_;
     EnergyModel energy_model_;

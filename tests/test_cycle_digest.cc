@@ -6,7 +6,9 @@
  * Runs each grid at TD_FAST sampling with the result cache off and
  * hashes every serialized OpCellResult (cycles, activity counters,
  * energy splits — every bit a cached cell stores) into one FNV-1a
- * digest per model, across all of the grid's config variants.  The digests below are committed constants:
+ * digest per model, across all of the grid's config variants.  A
+ * warm pass repeats fig13 and fig22 with every cell decoded from the
+ * on-disk result cache.  The digests below are committed constants:
  * any change to tensor synthesis, the random streams, lowering, the
  * tile kernel or the energy model that moves a single cycle fails the
  * test and names the model it moved.  A deliberate semantic change
@@ -19,6 +21,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,6 +30,7 @@
 #include "common/hashing.hh"
 #include "common/serial.hh"
 #include "core/figures.hh"
+#include "core/result_store.hh"
 #include "core/runner.hh"
 #include "models/model_zoo.hh"
 
@@ -140,10 +144,26 @@ expectDigests(const SweepResult &sweep,
         std::printf("current digests:\n%s", table.c_str());
 }
 
-/** Run registered figure @p name's JobSpec at TD_FAST sampling with
- * the result cache off. */
+/** Run the fig13 grid at @p threads; an empty @p cache_dir turns the
+ * result cache off, otherwise cells go through that disk cache. */
 SweepResult
-runFigureJob(const char *name, int threads)
+runFig13(int threads, const std::string &cache_dir = "")
+{
+    RunConfig cfg;
+    cfg.accel.max_sampled_macs = 120000;
+    cfg.accel.memory_model = MemoryModel::Analytic;
+    cfg.cache = !cache_dir.empty();
+    cfg.cache_dir = cache_dir;
+    cfg.threads = threads;
+    const std::vector<ModelProfile> models = ModelZoo::paperModels();
+    return ModelRunner(cfg).runMany(models);
+}
+
+/** Run registered figure @p name's JobSpec at TD_FAST sampling, with
+ * the result cache as in runFig13. */
+SweepResult
+runFigureJob(const char *name, int threads,
+             const std::string &cache_dir = "")
 {
     const char *saved = std::getenv("TD_FAST");
     const std::string saved_value = saved ? saved : "";
@@ -158,9 +178,39 @@ runFigureJob(const char *name, int threads)
     if (!job)
         return {};
     RunConfig cfg = job->baseConfig();
-    cfg.cache = false;
+    cfg.cache = !cache_dir.empty();
+    cfg.cache_dir = cache_dir;
     cfg.threads = threads;
     return ModelRunner(cfg).runSweep(job->toSweepSpec());
+}
+
+/**
+ * Warm pass: fill a fresh disk cache with a cold 4-thread run of
+ * @p run, drop the in-process memo so every cell has to be decoded
+ * from disk, and rerun at 1 thread.  The rerun must simulate nothing;
+ * its digests then check the serialized cells a multi-thread run
+ * wrote against the same constants as the cold passes.
+ */
+template <typename RunFn>
+SweepResult
+warmFromDisk(const char *name, RunFn run)
+{
+    std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        (std::string("td_warm_digest_") + name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    ResultStore::shared().clearMemo();
+    SweepResult cold = run(4, dir.string());
+    EXPECT_EQ(cold.simulated, cold.cellCount());
+    ResultStore::shared().clearMemo();
+    SweepResult warm = run(1, dir.string());
+    ResultStore::shared().clearMemo();
+    EXPECT_EQ(warm.simulated, 0u);
+    EXPECT_EQ(warm.cache_hits, warm.cellCount());
+    std::filesystem::remove_all(dir);
+    return warm;
 }
 
 class Fig13CycleDigest : public ::testing::TestWithParam<int>
@@ -169,13 +219,7 @@ class Fig13CycleDigest : public ::testing::TestWithParam<int>
 
 TEST_P(Fig13CycleDigest, MatchesCommittedConstants)
 {
-    RunConfig cfg;
-    cfg.accel.max_sampled_macs = 120000;
-    cfg.accel.memory_model = MemoryModel::Analytic;
-    cfg.cache = false;
-    cfg.threads = GetParam();
-    const std::vector<ModelProfile> models = ModelZoo::paperModels();
-    SweepResult sweep = ModelRunner(cfg).runMany(models);
+    SweepResult sweep = runFig13(GetParam());
     ASSERT_EQ(sweep.variantCount(), 1u);
     expectDigests(sweep, kFig13Digests);
 }
@@ -209,6 +253,20 @@ std::string
 threadsName(const ::testing::TestParamInfo<int> &info)
 {
     return std::to_string(info.param) + "threads";
+}
+
+TEST(WarmCycleDigest, Fig13CellsFromDiskMatchCommittedConstants)
+{
+    expectDigests(warmFromDisk("fig13", runFig13), kFig13Digests);
+}
+
+TEST(WarmCycleDigest, Fig22CellsFromDiskMatchCommittedConstants)
+{
+    expectDigests(warmFromDisk("fig22", [](int threads,
+                                           const std::string &dir) {
+                      return runFigureJob("fig22", threads, dir);
+                  }),
+                  kFig22Digests);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, Fig13CycleDigest,

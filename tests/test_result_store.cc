@@ -829,6 +829,44 @@ TEST(ShardedSweep, DeserializeRejectsCorruptBuffers)
     EXPECT_FALSE(SweepResult::deserialize(bad, &out));
 
     EXPECT_FALSE(SweepResult::deserialize({}, &out));
+
+    // Memory-model bytes the encoder never writes.  The top-level one
+    // follows magic, version and fingerprint; the first variant's
+    // follows the variant count and the variant's label.  Flipping
+    // each to the other valid model first proves the offsets.
+    SweepResult good;
+    ASSERT_TRUE(SweepResult::deserialize(bytes, &good));
+    ASSERT_EQ(good.variants.size(), 1u);
+    const size_t top_mm = 4 + 4 + 8;
+    const size_t variant_mm = top_mm + 1 + 4 + 4 + good.variants[0].size();
+    for (size_t at : {top_mm, variant_mm}) {
+        bad = bytes;
+        bad[at] ^= 1;
+        ASSERT_TRUE(SweepResult::deserialize(bad, &out));
+        EXPECT_EQ(out.serialize(), bad);
+    }
+    bad = bytes;
+    bad[top_mm] = 200;
+    EXPECT_FALSE(SweepResult::deserialize(bad, &out));
+    bad = bytes;
+    bad[variant_mm] = 9;
+    EXPECT_FALSE(SweepResult::deserialize(bad, &out));
+
+    // Cell level: an op byte past BackwardWeights fails the reader.
+    ByteWriter w;
+    good.layer_results[0].cells[0].serialize(w);
+    std::vector<uint8_t> cell = w.data();
+    {
+        ByteReader r(cell);
+        OpCellResult decoded;
+        decoded.deserialize(r);
+        EXPECT_TRUE(r.atEnd());
+    }
+    cell[0] = (uint8_t)TrainOp::BackwardWeights + 1;
+    ByteReader r(cell);
+    OpCellResult decoded;
+    decoded.deserialize(r);
+    EXPECT_FALSE(r.ok());
 }
 
 TEST(ShardedSweep, DeserializeRejectsHugeDeclaredGrids)

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/tensordash.hh"
 
 namespace tensordash {
@@ -288,109 +286,6 @@ TEST(RunnerEngine, RunManyBitIdenticalAcrossThreadCounts)
             for (size_t p = 0; p < serial.pointCount(); ++p)
                 expectSameResult(parallel.at(m, p), serial.at(m, p));
     }
-}
-
-/** Fresh (empty, created) temp directory for disk-cache tests. */
-std::string
-freshCacheDir(const std::string &name)
-{
-    std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
-
-TEST(RunnerFission, BitIdenticalAcrossThresholdsAndThreadCounts)
-{
-    // Intra-layer fission is an execution knob: any threshold at any
-    // thread count under either memory model must reproduce the
-    // serial, unfissioned run bit for bit.  A tiny multiplier forces
-    // every op past the threshold (maximal splitting); 0 disables
-    // fission outright.
-    const std::vector<ModelProfile> models = {
-        ModelZoo::byName("SqueezeNet")};
-    const std::vector<double> points = {0.5};
-    for (MemoryModel mm :
-         {MemoryModel::Analytic, MemoryModel::Pipelined}) {
-        RunConfig cfg = fastConfig();
-        cfg.accel.memory_model = mm;
-        cfg.fission_threshold = 0.0;
-        cfg.threads = 1;
-        SweepResult serial = ModelRunner(cfg).runMany(models, points);
-        ASSERT_EQ(serial.results.size(), 1u);
-        EXPECT_EQ(serial.fission_subtasks, 0u);
-
-        for (int threads : {1, 2, 8}) {
-            for (double threshold : {0.0, 1e-9, 0.5}) {
-                cfg.threads = threads;
-                cfg.fission_threshold = threshold;
-                SweepResult run =
-                    ModelRunner(cfg).runMany(models, points);
-                expectSameResult(run.at(0, 0), serial.at(0, 0));
-                // A forced-tiny threshold must actually split once
-                // the run has parallelism to split across.
-                if (threshold == 1e-9 && threads > 1) {
-                    EXPECT_GT(run.fission_subtasks, 0u);
-                }
-                if (threshold == 0.0) {
-                    EXPECT_EQ(run.fission_subtasks, 0u);
-                }
-            }
-        }
-    }
-}
-
-TEST(RunnerFission, FissionedAndUnfissionedRunsShareCacheEntries)
-{
-    // Fission must not leak into the TaskKey or the result bytes: a
-    // cold fissioned run warms an unfissioned one and vice versa.
-    const std::vector<ModelProfile> models = {
-        ModelZoo::byName("SqueezeNet")};
-    const std::vector<double> points = {0.5};
-
-    RunConfig fissioned = fastConfig();
-    fissioned.cache = true;
-    fissioned.fission_threshold = 1e-9;
-    fissioned.threads = 8;
-    RunConfig plain = fastConfig();
-    plain.cache = true;
-    plain.fission_threshold = 0.0;
-    plain.threads = 1;
-
-    {
-        // Direction 1: fissioned cold -> unfissioned warm.
-        std::string dir = freshCacheDir("fission_warms_plain");
-        fissioned.cache_dir = dir;
-        plain.cache_dir = dir;
-        ResultStore::shared().clearMemo();
-        SweepResult cold = ModelRunner(fissioned).runMany(models,
-                                                          points);
-        EXPECT_GT(cold.simulated, 0u);
-        EXPECT_GT(cold.fission_subtasks, 0u);
-        ResultStore::shared().clearMemo(); // force the disk path
-        SweepResult warm = ModelRunner(plain).runMany(models, points);
-        EXPECT_EQ(warm.simulated, 0u);
-        EXPECT_EQ(warm.cache_hits, cold.cache_hits + cold.simulated);
-        expectSameResult(warm.at(0, 0), cold.at(0, 0));
-    }
-    {
-        // Direction 2: unfissioned cold -> fissioned warm.
-        std::string dir = freshCacheDir("plain_warms_fission");
-        fissioned.cache_dir = dir;
-        plain.cache_dir = dir;
-        ResultStore::shared().clearMemo();
-        SweepResult cold = ModelRunner(plain).runMany(models, points);
-        EXPECT_GT(cold.simulated, 0u);
-        ResultStore::shared().clearMemo();
-        SweepResult warm = ModelRunner(fissioned).runMany(models,
-                                                          points);
-        EXPECT_EQ(warm.simulated, 0u);
-        // Nothing simulates, so nothing fissions.
-        EXPECT_EQ(warm.fission_subtasks, 0u);
-        expectSameResult(warm.at(0, 0), cold.at(0, 0));
-    }
-    ResultStore::shared().clearMemo();
 }
 
 TEST(RunnerEngine, MatchesPreRefactorSerialPath)
