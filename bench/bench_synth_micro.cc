@@ -1,15 +1,17 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the synthesis/measure kernels:
- * normal fills (against the std::normal_distribution reference),
- * dropout, clustered Beta maps, magnitude/clustered pruning, per-map
- * density measurement, nonzero counting, and one end-to-end layer
- * synthesis.  These are the per-key cost the SynthCache amortises
- * across geometry variants — and what the pointer-walk kernel
- * rewrites speed up even for the first task of a key.
+ * the counter-stream fills ModelZoo::synthesize runs (dense values,
+ * mask-first clustered maps, mask-first pruning) next to the serial
+ * mt19937_64 normal fill (against the std::normal_distribution
+ * reference) that src/nn and fig20 still use, dropout, the in-place
+ * apply* masks, magnitude pruning, per-map density measurement,
+ * nonzero counting, and one end-to-end layer synthesis.  These are
+ * the per-key cost the SynthCache amortises across geometry variants.
  *
  * Mutating kernels copy a pristine tensor per iteration so every
  * iteration sees the same input; BM_TensorCopy is that baseline.
+ * Every benchmark reports elements per second.
  */
 
 #include "bench_util.hh"
@@ -94,6 +96,54 @@ BM_FillNormalStdRef(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * t.size());
 }
 BENCHMARK(BM_FillNormalStdRef);
+
+void
+BM_CounterFill(benchmark::State &state)
+{
+    Tensor t = actsTensor();
+    const CounterStream stream(50, 0);
+    for (auto _ : state) {
+        fillCounterValues(t, stream, 1.0f);
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_CounterFill);
+
+void
+BM_SynthesizeClustered(benchmark::State &state)
+{
+    Tensor t = actsTensor();
+    ClusterParams params;
+    params.sparsity = state.range(0) / 100.0;
+    params.strength = 0.5;
+    Rng rng(45);
+    const CounterStream stream(45, 0);
+    for (auto _ : state) {
+        synthesizeClustered(t, params, stream, 1.0f, rng);
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_SynthesizeClustered)->Arg(50)->Arg(90);
+
+void
+BM_SynthesizePruned(benchmark::State &state)
+{
+    Tensor t = weightsTensor();
+    double sparsity = state.range(0) / 100.0;
+    Rng rng(46);
+    const CounterStream stream(46, 1);
+    for (auto _ : state) {
+        synthesizePruned(t, sparsity, 0.5, stream, 0.5f, rng);
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_SynthesizePruned)->Arg(80);
 
 void
 BM_Dropout(benchmark::State &state)
@@ -186,14 +236,17 @@ BM_SynthesizeLayer(benchmark::State &state)
     // The largest ResNet50-era cell the suite synthesizes repeatedly:
     // clustered acts/grads plus clustered-pruned weights.
     ModelProfile model = ModelZoo::byName("resnet50_SM90");
-    size_t layer = model.layers.size() / 2;
+    const LayerSpec &layer = model.layers[model.layers.size() / 2];
     Rng rng(49);
+    size_t elements = 0;
     for (auto _ : state) {
         Rng layer_rng = rng; // same stream every iteration
-        benchmark::DoNotOptimize(ModelZoo::synthesize(
-            model, model.layers[layer], 0.5, layer_rng));
+        LayerTensors t =
+            ModelZoo::synthesize(model, layer, 0.5, layer_rng);
+        elements = t.acts.size() + t.weights.size() + t.grads.size();
+        benchmark::DoNotOptimize(t);
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * elements);
 }
 BENCHMARK(BM_SynthesizeLayer);
 

@@ -14,7 +14,8 @@
  *
  *  - Mt19937_64 emits the ISO C++ [rand.predef] mt19937_64 sequence
  *    (same seeding, twist and tempering; the 10000th output of the
- *    default seed is 9981545732273789042).
+ *    default seed is 9981545732273789042).  next() returns its raw
+ *    words.
  *  - uniform() is libstdc++'s generate_canonical<float, 24> over that
  *    engine: (float)r * 2^-64, clamped to nextafter(1, 0).
  *  - normal() is one step of libstdc++'s Marsaglia polar method with
@@ -23,6 +24,12 @@
  *    promotions, std::log/std::sqrt on float and `* stddev + mean`
  *    order reproduced.
  *  - fork() draws the child seed's high word first, then the low word.
+ *  - CounterStream's keepBits() and value() are pure functions of
+ *    (key, stream id, element index) in 32- and 64-bit integer
+ *    arithmetic; value() ends in one exact int -> float conversion and
+ *    one float multiply.  Neither touches libm, keeps state or depends
+ *    on the order elements are visited, so a counter-filled tensor is
+ *    the same bits on every host, ISA, compiler and thread count.
  *
  * Uniform and normal draws therefore no longer depend on the host C++
  * standard library (normal() still calls the C library's logf and
@@ -93,6 +100,9 @@ class Rng
   public:
     /** @param seed deterministic seed for the underlying engine. */
     explicit Rng(uint64_t seed = 0x7d5ull) : engine_(seed) {}
+
+    /** @return the engine's next raw 64-bit word. */
+    uint64_t next() { return engine_(); }
 
     /** @return uniform float in [0, 1). */
     float uniform() { return canonical(engine_()); }
@@ -207,6 +217,92 @@ class Rng
     }
 
     Mt19937_64 engine_;
+};
+
+/**
+ * Counter-based random stream (Salmon et al., "Parallel Random
+ * Numbers: As Easy as 1, 2, 3", SC'11): element i of stream (key, id)
+ * is a keyed hash of i, so any element can be drawn on its own, in any
+ * order, with no state carried between draws — a fill loop over it
+ * vectorizes.  The hash is two rounds of Wellons' lowbias32 with a
+ * round key mixed in before each: the first round (index key) is
+ * shared, the second uses a keep key or a value key, so an element's
+ * keep draw and its value are differently keyed hashes of its index.
+ * The three 32-bit round keys come from SplitMix64 (Steele, Lea &
+ * Flood, OOPSLA'14) over the 64-bit key and the stream id.  Indices
+ * are 32-bit: a stream fills at most 2^32 elements.
+ */
+class CounterStream
+{
+  public:
+    /** Wellons' lowbias32: a bijective 32-bit mixer with low
+     * avalanche bias, two multiplies and three xorshifts. */
+    static constexpr uint32_t
+    mix(uint32_t x)
+    {
+        x ^= x >> 16;
+        x *= 0x7feb352du;
+        x ^= x >> 15;
+        x *= 0x846ca68bu;
+        x ^= x >> 16;
+        return x;
+    }
+
+    /** @param key per-layer key (an Rng::next() word)
+     *  @param id  which tensor of the layer this stream fills */
+    constexpr CounterStream(uint64_t key, uint32_t id)
+    {
+        const uint64_t a = splitmix(key + ((uint64_t)id + 1) * kGamma);
+        const uint64_t b = splitmix(a + kGamma);
+        index_key_ = (uint32_t)a;
+        keep_key_ = (uint32_t)(a >> 32);
+        value_key_ = (uint32_t)b;
+    }
+
+    /** @return element @p i's keep draw, uniform on [0, 2^32). */
+    constexpr uint32_t
+    keepBits(uint32_t i) const
+    {
+        return mix(mix(i ^ index_key_) ^ keep_key_);
+    }
+
+    /**
+     * @return element @p i's value: an Irwin-Hall sum of three
+     * independent uniforms on (-1, 1) (variance 1, bounded by 3), times
+     * @p stddev.  Each uniform is a 10-bit lane l of the value hash
+     * mapped to the odd integer 2l + 1 - 2^10, so the lane sum is odd
+     * and the value is never zero: a kept element is always a nonzero.
+     * The sum (|s| < 2^12) converts to float exactly and
+     * stddev * 2^-10 is exact, so the one rounding is the final
+     * multiply.
+     */
+    constexpr float
+    value(uint32_t i, float stddev) const
+    {
+        const uint32_t w = mix(mix(i ^ index_key_) ^ value_key_);
+        const int32_t s =
+            (int32_t)(2 * ((w & 0x3ff) + ((w >> 10) & 0x3ff) +
+                           ((w >> 20) & 0x3ff))) +
+            3 - 3 * 1024;
+        return (float)s * (stddev * 0x1p-10f);
+    }
+
+  private:
+    /** SplitMix64's Weyl increment (2^64 / golden ratio, odd). */
+    static constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
+    /** SplitMix64's output function. */
+    static constexpr uint64_t
+    splitmix(uint64_t z)
+    {
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+    uint32_t index_key_ = 0;
+    uint32_t keep_key_ = 0;
+    uint32_t value_key_ = 0;
 };
 
 } // namespace tensordash

@@ -111,7 +111,17 @@ class ByteReader
 
     double f64() { return std::bit_cast<double>(u64()); }
 
-    bool b() { return u8() != 0; }
+    /** A bool is the byte 0 or 1, as ByteWriter::b writes it; any
+     * other byte latches !ok() instead of decoding to a value that
+     * would re-serialize differently. */
+    bool
+    b()
+    {
+        const uint8_t v = u8();
+        if (v > 1)
+            ok_ = false;
+        return v == 1;
+    }
 
     std::string
     str()

@@ -112,8 +112,12 @@ namespace tensordash {
  * v6: the modulo layer-slot partition was removed (cell lists are
  * the one way to partition a sweep), so serialized sweep headers no
  * longer carry the two shard u32s.
+ *
+ * v7: ModelZoo::synthesize became mask-first and counter-based, so
+ * every zoo-synthesized cell changed; no layout changed, but no cell
+ * synthesized by the mt19937_64 fills may be served any more.
  */
-inline constexpr uint32_t kResultFormatVersion = 6;
+inline constexpr uint32_t kResultFormatVersion = 7;
 
 /**
  * Result fidelity tier of a run.

@@ -460,18 +460,23 @@ ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
         Tensor(model.batch, layer.out_c, layer.outHw(), layer.outHw()),
         layer.spec()};
 
-    t.acts.fillNormal(rng, 0.0f, 1.0f);
-    t.weights.fillNormal(rng, 0.0f, 0.5f);
-    t.grads.fillNormal(rng, 0.0f, 0.1f);
-
-    ClusterParams act_params{act_s, model.sparsity.cluster_strength};
-    applyClusteredSparsity(t.acts, act_params, rng);
-    ClusterParams grad_params{grad_s, model.sparsity.cluster_strength};
-    applyClusteredSparsity(t.grads, grad_params, rng);
-    if (weight_s > 0.0) {
-        applyClusteredPruning(t.weights, weight_s,
-                              model.sparsity.cluster_strength, rng);
-    }
+    // One key per layer; A, W and GO are separate counter streams
+    // under it.  The per-map and per-filter Beta draws that follow
+    // come from rng in A, GO, W order.
+    enum : uint32_t { kActs, kWeights, kGrads };
+    const uint64_t key = rng.next();
+    synthesizeClustered(t.acts, {act_s, model.sparsity.cluster_strength},
+                        CounterStream(key, kActs), 1.0f, rng);
+    synthesizeClustered(t.grads,
+                        {grad_s, model.sparsity.cluster_strength},
+                        CounterStream(key, kGrads), 0.1f, rng);
+    const CounterStream weight_stream(key, kWeights);
+    if (weight_s > 0.0)
+        synthesizePruned(t.weights, weight_s,
+                         model.sparsity.cluster_strength, weight_stream,
+                         0.5f, rng);
+    else
+        fillCounterValues(t.weights, weight_stream, 0.5f);
     return t;
 }
 

@@ -162,13 +162,17 @@ class ModelZoo
     static std::vector<std::string> paperModelNames();
 
     /**
-     * Synthesise one layer's tensors at a point in training.
+     * Synthesise one layer's tensors at a point in training, mask
+     * first: A and GO get clustered maps, W clustered pruning (pruned
+     * models) or no zeros, each from its own CounterStream under one
+     * layer key (see sparsity/generator.hh).
      *
      * @param model    profile supplying the sparsity calibration
      * @param layer    which layer
      * @param progress training progress in [0, 1] (0.5 = calibration
      *                 reference point)
-     * @param rng      randomness source
+     * @param rng      draws the layer key, then the per-map and
+     *                 per-filter Beta densities (A, GO, W order)
      */
     static LayerTensors synthesize(const ModelProfile &model,
                                    const LayerSpec &layer,

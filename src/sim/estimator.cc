@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "sim/memory/compressing_dma.hh"
 #include "sim/memory/transposer.hh"
+#include "sparsity/generator.hh"
 #include "sparsity/temporal.hh"
 
 namespace tensordash {
@@ -62,22 +63,6 @@ gaussMax(double n)
     return kGaussMax[lo] + frac * (kGaussMax[lo + 1] - kGaussMax[lo]);
 }
 
-/** Clustered-synthesis concentration for activation/gradient maps
- * (applyClusteredSparsity's Beta). */
-double
-mapConcentration(double strength)
-{
-    return std::max(80.0 * std::pow(0.01, strength), 0.8);
-}
-
-/** Per-filter keep-rate concentration of clustered pruning
- * (applyClusteredPruning's Beta). */
-double
-filterConcentration(double strength)
-{
-    return std::max(60.0 * std::pow(0.02, strength), 0.8);
-}
-
 /**
  * E[f(X)] for X ~ Beta(a, b) by midpoint quadrature with the edge
  * substitutions t = x^a (left) and u = (1-x)^b (right), which absorb
@@ -107,8 +92,8 @@ betaExpect(double a, double b, F &&f)
 }
 
 /**
- * Expected *realised* weight density of clustered magnitude pruning
- * targeting keep rate @p keep_mean: applyClusteredPruning draws a
+ * Expected *realised* weight density of clustered pruning
+ * targeting keep rate @p keep_mean: synthesizePruned draws a
  * per-filter keep and a per-channel multiplier from
  * Beta(keep k, (1-keep) k), clamps their product into [0, 1], and
  * rounds the per-slice prune count to an integer.  Both the clamp
@@ -343,9 +328,9 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
 
     double da = 1.0 - sp.act;
     double dg = 1.0 - sp.grad;
-    // Dense-model weights are random floats — effectively no zeros.
+    // Dense-model weights are counter-stream values, never zero.
     // Pruned weights land *below* their keep target (clamping and
-    // per-slice rounding in applyClusteredPruning); the simulator
+    // per-slice rounding in synthesizePruned); the simulator
     // works from measured sparsity, so the estimator must too.
     double dw = 1.0;
     if (sp.weight > 0.0 && sp.clustered_weights)

@@ -204,6 +204,38 @@ TEST(Serial, TruncationLatchesNotOk)
     EXPECT_FALSE(r2.ok());
 }
 
+TEST(Serial, BoolBytesOtherThanZeroOrOneAreRejected)
+{
+    const uint8_t bytes[] = {0, 1, 2, 0xff};
+    for (uint8_t byte : bytes) {
+        ByteReader r(&byte, 1);
+        r.b();
+        EXPECT_EQ(r.ok(), byte <= 1) << "byte " << (int)byte;
+    }
+
+    // An OpResult whose trailing `gated` byte reads 2 was never written
+    // by serialize(): it must be rejected, not decoded to a value that
+    // re-serializes to different bytes.
+    OpResult result;
+    result.gated = true;
+    ByteWriter w;
+    result.serialize(w);
+    std::vector<uint8_t> blob = w.data();
+    ASSERT_EQ(blob.back(), 1);
+    {
+        ByteReader r(blob);
+        OpResult decoded;
+        decoded.deserialize(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_TRUE(decoded.gated);
+    }
+    blob.back() = 2;
+    ByteReader r(blob);
+    OpResult decoded;
+    decoded.deserialize(r);
+    EXPECT_FALSE(r.ok());
+}
+
 TEST(TaskKeyTest, IndependentlyBuiltIdenticalInputsGiveTheSameKey)
 {
     // The key is a pure function of values: rebuilding the same
