@@ -1,7 +1,10 @@
 /**
  * @file
  * Cycle-exact goldens of the fig13 training grid, the fig22
- * pipelined-memory grid and the fig23 inference-phase grid.
+ * pipelined-memory grid, the fig23 inference-phase grid and the grids
+ * that vary the tile's own shape: fig17 (PE rows per tile), fig19
+ * (staging depth) and the interconnect ablation (every
+ * InterconnectKind).
  *
  * Runs each grid at TD_FAST sampling with the result cache off and
  * hashes every serialized OpCellResult (cycles, activity counters,
@@ -22,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,6 +91,44 @@ const ModelDigest kFig23Digests[] = {
     {"SNLI", 0x2b44690ab3936e79ull},
     {"WideDeep", 0x544a24fb7323ed23ull},
     {"NeuMF", 0xd9c1a9d63abe63a9ull},
+};
+
+/**
+ * Per-model digests of the registry grids whose tile shape differs
+ * from the paper default (4 rows, depth 3, Paper interconnect): fig17
+ * (rows 1/2/4/8/16), fig19 (depth 2/3, four models) and
+ * ablation-interconnect (DenseOnly, LookaheadOnly, Paper, Paper with
+ * the Auto side policy, Crossbar), all at TD_FAST sampling, seed 7,
+ * progress 0.5.  They pin the scheduler kernel on every row count,
+ * depth and interconnect a figure runs.
+ */
+const ModelDigest kFig17Digests[] = {
+    {"AlexNet", 0x6335bdc996a46c39ull},
+    {"DenseNet121", 0xc380240f939c2ab8ull},
+    {"SqueezeNet", 0x76ce483ab2e357b5ull},
+    {"VGG16", 0xf7fbb5041a4bc7d4ull},
+    {"img2txt", 0xc6ce62d3f4d85b1dull},
+    {"resnet50_DS90", 0xdcecb33e7ee199a6ull},
+    {"resnet50_SM90", 0xa0aaf0b760915a99ull},
+    {"SNLI", 0x7ef190c1835f569cull},
+};
+
+const ModelDigest kFig19Digests[] = {
+    {"DenseNet121", 0x53e5207932423c25ull},
+    {"SqueezeNet", 0x70eb1425d01c2505ull},
+    {"img2txt", 0x157ab3d4bf12e211ull},
+    {"resnet50_DS90", 0xbd34b937af329325ull},
+};
+
+const ModelDigest kInterconnectDigests[] = {
+    {"AlexNet", 0xfd636fd777f10781ull},
+    {"DenseNet121", 0x392ef91445df3248ull},
+    {"SqueezeNet", 0x7a4714d72876acb9ull},
+    {"VGG16", 0x01121f4792dbd95dull},
+    {"img2txt", 0x84063ca2d8a0d476ull},
+    {"resnet50_DS90", 0xce584c1e627c3c4cull},
+    {"resnet50_SM90", 0x0888cf1f1d52111dull},
+    {"SNLI", 0x2b13f8d2e605fcbcull},
 };
 
 /** FNV-1a of every serialized op cell of each model, in grid order
@@ -160,29 +200,25 @@ runFig13(int threads, const std::string &cache_dir = "")
     return ModelRunner(cfg).runMany(models);
 }
 
-/** Run registered figure @p name's JobSpec at TD_FAST sampling, with
- * the result cache as in runFig13. */
+/** Run registered figure @p name's grid at TD_FAST sampling, with
+ * the result cache as in runFig13.  JobSpec-backed figures build their
+ * grid from the JobSpec, so this is the grid td-sweep serves too. */
 SweepResult
-runFigureJob(const char *name, int threads,
-             const std::string &cache_dir = "")
+runFigure(const char *name, int threads, const std::string &cache_dir = "")
 {
     const char *saved = std::getenv("TD_FAST");
     const std::string saved_value = saved ? saved : "";
     ::setenv("TD_FAST", "1", 1);
-    const std::optional<service::JobSpec> job =
-        findFigure(name)->grid().job;
+    const FigureGrid grid = findFigure(name)->grid();
     if (saved)
         ::setenv("TD_FAST", saved_value.c_str(), 1);
     else
         ::unsetenv("TD_FAST");
-    EXPECT_TRUE(job.has_value()) << name;
-    if (!job)
-        return {};
-    RunConfig cfg = job->baseConfig();
+    RunConfig cfg = grid.base;
     cfg.cache = !cache_dir.empty();
     cfg.cache_dir = cache_dir;
     cfg.threads = threads;
-    return ModelRunner(cfg).runSweep(job->toSweepSpec());
+    return ModelRunner(cfg).runSweep(grid.spec);
 }
 
 /**
@@ -231,7 +267,7 @@ class Fig22CycleDigest : public ::testing::TestWithParam<int>
 
 TEST_P(Fig22CycleDigest, RegistryGridMatchesCommittedConstants)
 {
-    SweepResult sweep = runFigureJob("fig22", GetParam());
+    SweepResult sweep = runFigure("fig22", GetParam());
     ASSERT_EQ(sweep.variantCount(), 6u);
     for (size_t v = 0; v < sweep.variantCount(); ++v)
         EXPECT_EQ(sweep.variant_memory_models[v], MemoryModel::Pipelined);
@@ -244,7 +280,7 @@ class Fig23CycleDigest : public ::testing::TestWithParam<int>
 
 TEST_P(Fig23CycleDigest, RegistryGridMatchesCommittedConstants)
 {
-    SweepResult sweep = runFigureJob("fig23", GetParam());
+    SweepResult sweep = runFigure("fig23", GetParam());
     ASSERT_EQ(sweep.variantCount(), 2u);
     EXPECT_EQ(sweep.variantPhase(1), WorkloadPhase::Inference);
     expectDigests(sweep, kFig23Digests);
@@ -256,6 +292,27 @@ threadsName(const ::testing::TestParamInfo<int> &info)
     return std::to_string(info.param) + "threads";
 }
 
+TEST(TileShapeCycleDigest, Fig17RowsGridMatchesCommittedConstants)
+{
+    SweepResult sweep = runFigure("fig17", 4);
+    ASSERT_EQ(sweep.variantCount(), 5u);
+    expectDigests(sweep, kFig17Digests);
+}
+
+TEST(TileShapeCycleDigest, Fig19DepthGridMatchesCommittedConstants)
+{
+    SweepResult sweep = runFigure("fig19", 4);
+    ASSERT_EQ(sweep.variantCount(), 2u);
+    expectDigests(sweep, kFig19Digests);
+}
+
+TEST(TileShapeCycleDigest, InterconnectGridMatchesCommittedConstants)
+{
+    SweepResult sweep = runFigure("ablation-interconnect", 4);
+    ASSERT_EQ(sweep.variantCount(), 5u);
+    expectDigests(sweep, kInterconnectDigests);
+}
+
 TEST(WarmCycleDigest, Fig13CellsFromDiskMatchCommittedConstants)
 {
     expectDigests(warmFromDisk("fig13", runFig13), kFig13Digests);
@@ -265,7 +322,7 @@ TEST(WarmCycleDigest, Fig22CellsFromDiskMatchCommittedConstants)
 {
     expectDigests(warmFromDisk("fig22", [](int threads,
                                            const std::string &dir) {
-                      return runFigureJob("fig22", threads, dir);
+                      return runFigure("fig22", threads, dir);
                   }),
                   kFig22Digests);
 }
