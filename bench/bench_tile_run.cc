@@ -1,13 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmark of Tile::run, the engine's hot
- * kernel: the per-cycle sparse window walk (scheduler calls, pick
- * application, AS advance) over a full 4x4 tile.  The sparsity x
- * staging-depth grid covers the kernel's distinct regimes — dense
- * streams (every window full, scheduler fast path), mid sparsity
- * (mixed windows, most picks applied) and high sparsity (windows
- * drain fast, the window slides in big strides and the pick-gate
- * skips most lane walks).
+ * kernel: the per-cycle window walk (one bit-sliced scheduler pass per
+ * packed word of rows, the slowest-row advance) over a full 4x4 tile.
+ * The sparsity x staging-depth grid covers the kernel's distinct
+ * regimes — dense streams (every window full, the scheduler's dense
+ * path), mid sparsity (mixed windows, most levels decide something)
+ * and high sparsity (windows drain fast and slide in big strides).
+ * BM_TileRunInterconnect runs the ablation's other movement patterns
+ * at the paper's depth, and BM_TileRunOutputs the functional mode that
+ * also multiplies every picked pair into its PE accumulators.
  */
 
 #include "bench_util.hh"
@@ -25,25 +27,60 @@ namespace {
 
 constexpr int kSteps = 256;
 
+BlockStream
+randomStream(Rng &rng, int lanes, double sparsity, bool with_values)
+{
+    BlockStream s(lanes, with_values);
+    std::vector<float> row((size_t)lanes);
+    for (int i = 0; i < kSteps; ++i) {
+        uint32_t mask = 0;
+        for (int l = 0; l < lanes; ++l) {
+            const bool nonzero = !rng.bernoulli((float)sparsity);
+            row[(size_t)l] = nonzero ? 1.0f + (float)(l % 3) : 0.0f;
+            if (nonzero)
+                mask |= 1u << l;
+        }
+        if (with_values)
+            s.appendValueRow(row.data());
+        else
+            s.appendMaskRow(mask);
+    }
+    return s;
+}
+
+/** Timing-only jobs carry B masks alone (the schedule reads nothing
+ * else); functional jobs carry value-mode B and A streams. */
 TileJob
-randomJob(const TileConfig &cfg, double sparsity, uint64_t seed)
+randomJob(const TileConfig &cfg, double sparsity, uint64_t seed,
+          bool with_values = false)
 {
     Rng rng(seed);
     TileJob job;
-    for (int r = 0; r < cfg.rows; ++r) {
-        BlockStream s(cfg.lanes, false);
-        for (int i = 0; i < kSteps; ++i) {
-            uint32_t mask = 0;
-            for (int l = 0; l < cfg.lanes; ++l)
-                if (!rng.bernoulli((float)sparsity))
-                    mask |= 1u << l;
-            s.appendMaskRow(mask);
-        }
-        job.b.push_back(s);
-    }
-    // Timing-only: the schedule reads B masks alone, so no A streams.
+    for (int r = 0; r < cfg.rows; ++r)
+        job.b.push_back(randomStream(rng, cfg.lanes, sparsity,
+                                     with_values));
+    if (with_values)
+        for (int c = 0; c < cfg.cols; ++c)
+            job.a.push_back(randomStream(rng, cfg.lanes, 0.0, true));
     job.cols = cfg.cols;
     return job;
+}
+
+void
+runTile(benchmark::State &state, const TileConfig &cfg, int sparsity,
+        bool outputs)
+{
+    Tile tile(cfg);
+    TileJob job = randomJob(cfg, sparsity / 100.0,
+                            42 + (uint64_t)sparsity, outputs);
+    std::vector<std::vector<double>> acc;
+    for (auto _ : state) {
+        TileStats stats;
+        benchmark::DoNotOptimize(
+            tile.run(job, stats, outputs ? &acc : nullptr));
+    }
+    // One item = one dense step simulated across the whole tile.
+    state.SetItemsProcessed(state.iterations() * kSteps);
 }
 
 void
@@ -51,27 +88,31 @@ BM_TileRun(benchmark::State &state)
 {
     TileConfig cfg;
     cfg.depth = (int)state.range(1);
-    Tile tile(cfg);
-    TileJob job = randomJob(cfg, state.range(0) / 100.0,
-                            42 + (uint64_t)state.range(0));
-    for (auto _ : state) {
-        TileStats stats;
-        benchmark::DoNotOptimize(tile.run(job, stats));
-    }
-    // One item = one dense step simulated across the whole tile.
-    state.SetItemsProcessed(state.iterations() * kSteps);
+    runTile(state, cfg, (int)state.range(0), false);
 }
 BENCHMARK(BM_TileRun)
     ->ArgNames({"sparsity", "depth"})
-    ->Args({0, 2})
-    ->Args({0, 4})
-    ->Args({0, 8})
-    ->Args({50, 2})
-    ->Args({50, 4})
-    ->Args({50, 8})
-    ->Args({90, 2})
-    ->Args({90, 4})
-    ->Args({90, 8});
+    ->ArgsProduct({{0, 50, 90}, {2, 3, 4, 8}});
+
+void
+BM_TileRunInterconnect(benchmark::State &state)
+{
+    TileConfig cfg;
+    cfg.interconnect = (InterconnectKind)state.range(1);
+    runTile(state, cfg, (int)state.range(0), false);
+}
+BENCHMARK(BM_TileRunInterconnect)
+    ->ArgNames({"sparsity", "kind"})
+    ->ArgsProduct({{50, 90},
+                   {(int64_t)InterconnectKind::LookaheadOnly,
+                    (int64_t)InterconnectKind::Crossbar}});
+
+void
+BM_TileRunOutputs(benchmark::State &state)
+{
+    runTile(state, TileConfig{}, (int)state.range(0), true);
+}
+BENCHMARK(BM_TileRunOutputs)->ArgName("sparsity")->Arg(0)->Arg(50)->Arg(90);
 
 } // namespace
 

@@ -32,7 +32,7 @@ struct ScheduledStream
     {
         std::array<float, 32> values{};
         /** Movement per lane (option index), -1 = lane empty. */
-        std::array<int8_t, 32> idx;
+        std::array<int16_t, 32> idx;
         /** Rows of the dense stream retired by this step (AS). */
         int8_t advance = 0;
         int picks = 0;

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hh"
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <vector>
@@ -9,90 +10,145 @@
 namespace tensordash {
 
 HierarchicalScheduler::HierarchicalScheduler(const MuxPattern &pattern)
-    : pattern_(&pattern)
+    : pattern_(&pattern),
+      depth_(pattern.depth()),
+      lanes_(pattern.lanes()),
+      rows_per_word_(64 / pattern.lanes()),
+      row_lanes_((1ull << pattern.lanes()) - 1u)
 {
-    // Flatten the level-major lane walk into one contiguous program.
-    // Options keep their per-lane priority order (indices into
-    // pattern.options(lane) survive unchanged), with the target bit
-    // precomputed and the lane's step-reach mask alongside.
-    flat_lanes_.reserve((size_t)pattern.lanes());
-    for (const auto &level : pattern.levels()) {
-        for (int lane : level) {
-            const auto &options = pattern.options(lane);
-            FlatLane fl;
-            fl.lane = lane;
-            fl.first = (int32_t)flat_options_.size();
-            fl.count = (int32_t)options.size();
-            fl.reach = 0;
-            for (const MoveOption &opt : options) {
-                flat_options_.push_back(
-                    {1u << opt.lane, opt.step});
-                fl.reach |= 1u << opt.step;
-            }
-            flat_lanes_.push_back(fl);
+    // The low and high lane bit of every packed row.
+    uint64_t all = 0, low_lane = 0;
+    for (int j = 0; j < rows_per_word_; ++j) {
+        all |= row_lanes_ << (j * lanes_);
+        low_lane |= 1ull << (j * lanes_);
+    }
+    seg_high_ = low_lane << (lanes_ - 1);
+    seg_rest_ = all & ~seg_high_;
+
+    // A movement shifts every lane by the same wrapped delta, and two
+    // movements alias for one lane exactly when they alias for all of
+    // them, so options(lane)[r] is lane 0's option r shifted by `lane`.
+    // A level's rank r therefore reads one (step, rotation) for all of
+    // its lanes.
+    const std::vector<MoveOption> &ranks = pattern.options(0);
+    ranks_per_level_ = (int)ranks.size();
+    for (int lane = 0; lane < lanes_; ++lane) {
+        const std::vector<MoveOption> &options = pattern.options(lane);
+        TD_ASSERT(options.size() == ranks.size(),
+                  "lane %d has %zu options, lane 0 has %zu", lane,
+                  options.size(), ranks.size());
+        for (size_t r = 0; r < ranks.size(); ++r)
+            TD_ASSERT(options[r].step == ranks[r].step &&
+                          options[r].lane == (lane + ranks[r].lane) % lanes_,
+                      "lane %d option %zu is not a shifted lane-0 option",
+                      lane, r);
+    }
+    for (const std::vector<int> &level : pattern.levels()) {
+        uint64_t members = 0;
+        for (int lane : level)
+            members |= low_lane << lane;
+        level_lanes_.push_back(members);
+        for (const MoveOption &opt : ranks) {
+            // Lanes below `lanes - shift` read `shift` lanes up in
+            // their own row; the others wrap to the row's low lanes.
+            const uint32_t shift = (uint32_t)opt.lane;
+            const uint32_t wrap = (uint32_t)lanes_ - shift;
+            uint64_t unwrapped = 0;
+            for (uint32_t lane = 0; lane < wrap; ++lane)
+                unwrapped |= low_lane << lane;
+            ranks_.push_back({members & unwrapped, members & ~unwrapped,
+                              (uint32_t)opt.step, shift, wrap});
         }
     }
-    dense_first_ = !pattern.moves().empty() &&
-                   pattern.moves()[0] == RelMove{0, 0};
+    dense_rank0_ = !ranks.empty() && ranks[0].step == 0 &&
+                   ranks[0].lane == 0;
+}
+
+template <bool Record>
+uint64_t
+HierarchicalScheduler::resolveImpl(uint64_t *z, uint64_t occupied,
+                                   int16_t *select) const
+{
+    // Dense path: every lane's top-priority option is its own dense
+    // position, which no other lane's top option reads, so with step 0
+    // full every lane picks it, level after level.
+    if (dense_rank0_ && z[0] == occupied) {
+        z[0] = 0;
+        if constexpr (Record)
+            std::fill_n(select, std::bit_width(occupied), 0);
+        return occupied;
+    }
+
+    uint64_t taken = 0;
+    const Rank *rank = ranks_.data();
+    for (uint64_t level_lanes : level_lanes_) {
+        const Rank *end = rank + ranks_per_level_;
+        // Lanes of rows whose window has drained can never pick, so
+        // the level is done once every lane of a live row has.
+        uint64_t any = 0;
+        for (int s = 0; s < depth_; ++s)
+            any |= z[s];
+        if (!any)
+            break;
+        const uint64_t live_rows =
+            (((any & seg_rest_) + seg_rest_) | any) & seg_high_;
+        const uint64_t need =
+            level_lanes & (live_rows >> (lanes_ - 1)) * row_lanes_;
+        if (!need) {
+            rank = end;
+            continue;
+        }
+
+        uint64_t level_taken = 0;
+        std::array<uint64_t, 8> strip{};
+        for (; rank != end; ++rank) {
+            const uint64_t zs = z[rank->step];
+            const uint64_t avail = ((zs >> rank->shift) & rank->lo) |
+                                   ((zs << rank->wrap) & rank->hi);
+            const uint64_t pick = avail & ~level_taken;
+            // A rank that hands out nothing new leaves every bit of
+            // the level as it was.
+            if (!pick)
+                continue;
+            level_taken |= pick;
+            strip[rank->step] |= ((pick & rank->lo) << rank->shift) |
+                                 ((pick & rank->hi) >> rank->wrap);
+            if constexpr (Record) {
+                const int16_t option = (int16_t)(ranks_per_level_ -
+                                                 (end - rank));
+                for (uint64_t bits = pick; bits; bits &= bits - 1)
+                    select[std::countr_zero(bits)] = option;
+            }
+            if ((level_taken & need) == need) {
+                rank = end;
+                break;
+            }
+        }
+        for (int s = 0; s < depth_; ++s)
+            z[s] &= ~strip[s];
+        taken |= level_taken;
+    }
+    return taken;
+}
+
+uint64_t
+HierarchicalScheduler::resolve(uint64_t *z, uint64_t occupied,
+                               int16_t *select) const
+{
+    return select ? resolveImpl<true>(z, occupied, select)
+                  : resolveImpl<false>(z, occupied, nullptr);
 }
 
 Schedule
 HierarchicalScheduler::schedule(const uint32_t *pending, int valid) const
 {
+    std::array<uint64_t, 8> z{};
+    for (int s = 0; s < valid; ++s)
+        z[s] = pending[s];
     Schedule out;
     out.select.fill(-1);
-
-    int lanes = pattern_->lanes();
-    uint32_t full = lanes == 32 ? 0xffffffffu : ((1u << lanes) - 1u);
-
-    // Fast path: when the oldest row is completely pending, every lane's
-    // top-priority option -- its own dense position -- is available, so
-    // the whole schedule is the dense schedule.  (Step-0 positions are
-    // reachable only by their own lane, so no other assignment exists.)
-    if (valid > 0 && pending[0] == full && dense_first_) {
-        for (int lane = 0; lane < lanes; ++lane)
-            out.select[lane] = 0;
-        out.picks = lanes;
-        return out;
-    }
-
-    // Working copy of Z; selected bits are stripped between levels.
-    // `nonempty` tracks which steps still hold pending bits (for the
-    // one-AND lane skip) and `remaining` how many bits are left at
-    // all; neither shortcut changes any selection — a lane whose
-    // reachable steps are empty, or any lane once Z is exhausted,
-    // could never have picked.  Steps beyond `valid` stay zero in z,
-    // so options reaching past the window fail the z-test naturally.
-    std::array<uint32_t, 8> z{};
-    int remaining = 0;
-    uint32_t nonempty = 0;
-    for (int s = 0; s < valid; ++s) {
-        z[s] = pending[s];
-        remaining += std::popcount(pending[s]);
-        if (pending[s])
-            nonempty |= 1u << s;
-    }
-    if (!remaining)
-        return out;
-
-    for (const FlatLane &fl : flat_lanes_) {
-        if (!(fl.reach & nonempty))
-            continue;
-        const FlatOption *options = &flat_options_[(size_t)fl.first];
-        for (int idx = 0; idx < fl.count; ++idx) {
-            const FlatOption &opt = options[idx];
-            if (z[(size_t)opt.step] & opt.bit) {
-                z[(size_t)opt.step] &= ~opt.bit;
-                if (!z[(size_t)opt.step])
-                    nonempty &= ~(1u << opt.step);
-                out.select[fl.lane] = (int8_t)idx;
-                ++out.picks;
-                if (--remaining == 0)
-                    return out;
-                break;
-            }
-        }
-    }
+    const uint64_t taken = resolve(z.data(), row_lanes_, out.select.data());
+    out.picks = std::popcount(taken);
     return out;
 }
 

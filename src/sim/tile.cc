@@ -1,10 +1,27 @@
 #include "sim/tile.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace tensordash {
+
+namespace {
+
+/** Bits set in @p x.  Inline SWAR: the build targets baseline x86-64,
+ * where std::popcount is a libgcc call. */
+inline int
+countPicks(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (int)((x * 0x0101010101010101ull) >> 56);
+}
+
+} // namespace
 
 Tile::Tile(const TileConfig &config)
     : config_(config),
@@ -50,73 +67,81 @@ Tile::run(const TileJob &job, TileStats &stats,
     }
 
     const int depth = config_.depth;
+    const int lanes = config_.lanes;
+    const int per_word = scheduler_.rowsPerWord();
+    const int words = (nrows + per_word - 1) / per_word;
+    const size_t stride = (size_t)steps + depth;
 
-    // Materialise every row's mask stream once; the staging window is
-    // then a sliding view masks[base .. base+valid) mutated in place.
-    // Scheduler picks clear bits inside the window and a step is never
-    // read again once the base advances past it, so the per-cycle
-    // shift-and-refill of a depth-deep buffer disappears entirely.
-    masks_.resize((size_t)nrows * steps);
+    // Pack the B masks: row r is segment r % per_word of word
+    // r / per_word.  The `depth` zero steps after each word's stream
+    // are the window's out-of-stream steps.
+    packed_.assign((size_t)words * stride, 0);
     for (int r = 0; r < nrows; ++r) {
-        uint32_t *dst = masks_.data() + (size_t)r * steps;
+        uint64_t *dst = packed_.data() + (size_t)(r / per_word) * stride;
+        const int shift = (r % per_word) * lanes;
         for (int s = 0; s < steps; ++s)
-            dst[s] = job.b[r].nzMask(s);
+            dst[s] |= (uint64_t)job.b[r].nzMask(s) << shift;
     }
-    int base = 0;
+    const uint64_t row_lanes = (1ull << lanes) - 1u;
+    auto occupied = [&](int w) {
+        const int rows = std::min(per_word, nrows - w * per_word);
+        return rows * lanes == 64 ? ~0ull : (1ull << (rows * lanes)) - 1u;
+    };
 
-    uint64_t cycles = 0;
-    Schedule sched;
+    int base = 0;
+    uint64_t cycles = 0, picks = 0, stalls = 0;
+    std::array<int16_t, 64> select;
     while (base < steps) {
         ++cycles;
-        int valid = std::min(depth, steps - base);
-        uint32_t *win = masks_.data() + base;
-        int total_picks = 0;
-        int advance = valid;
-        for (int r = 0; r < nrows; ++r) {
-            uint32_t *p = win + (size_t)r * steps;
-            sched = scheduler_.schedule(p, valid);
-            total_picks += sched.picks;
-            stats.mult_ops += (uint64_t)sched.picks * ncols;
-            stats.idle_mult_slots +=
-                (uint64_t)(config_.lanes - sched.picks) * ncols;
-            // The pick-count gate skips the whole lane walk when a
-            // drained (or unreachable) window selected nothing, so
-            // high-sparsity stretches stop paying for `lanes`
-            // idle-select checks every cycle.
-            for (int lane = 0; sched.picks > 0 && lane < config_.lanes;
-                 ++lane) {
-                int idx = sched.select[lane];
-                if (idx < 0)
-                    continue;
-                const MoveOption &opt = pattern_.options(lane)[idx];
-                p[opt.step] &= ~(1u << opt.lane);
-                if (outputs) {
-                    int row_abs = base + opt.step;
-                    float bv = job.b[r].value(row_abs, opt.lane);
-                    for (int c = 0; c < ncols; ++c) {
+        const int valid = std::min(depth, steps - base);
+        uint64_t *win = packed_.data() + base;
+        uint64_t cycle_picks = 0;
+        for (int w = 0; w < words; ++w) {
+            uint64_t *z = win + (size_t)w * stride;
+            const uint64_t taken = scheduler_.resolve(
+                z, occupied(w), outputs ? select.data() : nullptr);
+            cycle_picks += (uint64_t)countPicks(taken);
+            // Each PE accumulates its products in lane order, cycle
+            // after cycle.
+            for (int j = 0; outputs && j < per_word; ++j) {
+                const int r = w * per_word + j;
+                uint64_t bits = taken >> (j * lanes) & row_lanes;
+                for (; bits; bits &= bits - 1) {
+                    const int lane = std::countr_zero(bits);
+                    const MoveOption &opt =
+                        pattern_.options(lane)[select[j * lanes + lane]];
+                    const int row_abs = base + opt.step;
+                    const float bv = job.b[r].value(row_abs, opt.lane);
+                    for (int c = 0; c < ncols; ++c)
                         (*outputs)[r][c] +=
                             (double)job.a[c].value(row_abs, opt.lane) *
                             (double)bv;
-                    }
                 }
             }
-            // AS for this row: leading fully consumed window rows.
-            // (The early-exit scan measured faster than building an
-            // occupancy bitmask for a count-trailing-zeros pass: it
-            // usually stops on its first or second probe.)
-            int as = 0;
-            while (as < valid && p[as] == 0)
-                ++as;
-            advance = std::min(advance, as);
         }
-        TD_ASSERT(advance > 0 || total_picks > 0,
+        picks += cycle_picks;
+
+        // The slowest row's AS: leading window steps no row still
+        // has pending.
+        int advance = 0;
+        for (; advance < valid; ++advance) {
+            uint64_t pending = 0;
+            for (int w = 0; w < words; ++w)
+                pending |= win[(size_t)w * stride + advance];
+            if (pending)
+                break;
+        }
+        TD_ASSERT(advance > 0 || cycle_picks > 0,
                   "tile made no progress at step base %d", base);
         if (advance < valid && advance < depth)
-            ++stats.stall_cycles;
+            ++stalls;
         base += advance;
     }
 
     stats.cycles += cycles;
+    stats.mult_ops += picks * ncols;
+    stats.idle_mult_slots += (cycles * nrows * lanes - picks) * ncols;
+    stats.stall_cycles += stalls;
     TD_ASSERT(cycles <= (uint64_t)steps,
               "tile exceeded the dense cycle count");
     return cycles;

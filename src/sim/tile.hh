@@ -17,6 +17,11 @@
  * advances by the *minimum* AS across rows each cycle.  Rows with denser
  * B streams therefore stall rows with sparser ones — the work-imbalance
  * effect the paper studies in Fig. 17.
+ *
+ * The simulation packs rows side by side into 64-bit words (four
+ * 16-lane rows per word), so one HierarchicalScheduler::resolve() call
+ * schedules all of a word's rows for the cycle, and the minimum AS is
+ * the first window step at which any word is still pending.
  */
 
 #include <cstdint>
@@ -122,14 +127,12 @@ class Tile
     MuxPattern pattern_;
     HierarchicalScheduler scheduler_;
 
-    // Mask scratch reused across run() calls: every B stream's
-    // nonzero masks are materialised once into one flat rows x steps
-    // block, and the staging window is a sliding view into it mutated
-    // in place — a step leaves the window for good once the base
-    // passes it, so there is no per-cycle shift or refill.  Fully
-    // rewritten at the start of every run (for the rows the job
-    // uses), so runs never depend on earlier ones.
-    std::vector<uint32_t> masks_;
+    // Packed B masks, reused across run() calls: the job's rows are
+    // packed scheduler_.rowsPerWord() to a 64-bit word, and each word
+    // holds its rows' whole streams plus `depth` zero steps, so the
+    // staging window is a sliding view that the scheduler mutates in
+    // place.  Rewritten at the start of every run.
+    std::vector<uint64_t> packed_;
 };
 
 } // namespace tensordash

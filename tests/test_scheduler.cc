@@ -3,12 +3,15 @@
  * Tests for the hierarchical hardware scheduler (paper section 3.2).
  *
  * Includes property sweeps (TEST_P) over sparsity levels and random
- * seeds that check schedule validity against the matching oracle.
+ * seeds that check schedule validity against the matching oracle, and
+ * a differential sweep that checks every lane's selection against the
+ * plain per-lane reference scheduler (reference_tile.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <tuple>
 
@@ -16,6 +19,7 @@
 #include "common/rng.hh"
 #include "sim/scheduler.hh"
 #include "sim/staging_buffer.hh"
+#include "reference_tile.hh"
 
 namespace tensordash {
 namespace {
@@ -211,6 +215,65 @@ INSTANTIATE_TEST_SUITE_P(
     SparsitySweep, SchedulerProperty,
     ::testing::Combine(::testing::Values(10, 30, 50, 70, 90),
                        ::testing::Values(1, 2, 3)));
+
+/** Differential sweep against the reference scheduler: (kind, lanes). */
+class SchedulerVsReference : public ::testing::TestWithParam<
+    std::tuple<InterconnectKind, int>>
+{
+};
+
+TEST_P(SchedulerVsReference, EveryLaneSelectsTheSameOption)
+{
+    auto [kind, lanes] = GetParam();
+    Rng rng(700 + (uint64_t)kind * 64 + (uint64_t)lanes);
+    for (int depth = 1; depth <= 8; ++depth) {
+        MuxPattern p(lanes, depth, kind);
+        HierarchicalScheduler sched(p);
+        for (int trial = 0; trial < 200; ++trial) {
+            const float sparsity =
+                std::array{0.0f, 0.3f, 0.5f, 0.7f, 0.9f,
+                           0.99f}[(size_t)rng.uniformInt(0, 5)];
+            const int valid = rng.uniformInt(1, depth);
+            uint32_t pending[8] = {};
+            for (int s = 0; s < valid; ++s)
+                for (int l = 0; l < lanes; ++l)
+                    if (!rng.bernoulli(sparsity))
+                        pending[s] |= 1u << l;
+            std::vector<uint32_t> z(pending, pending + valid);
+            const std::vector<int> want = reference::scheduleRow(p, z);
+            const Schedule got = sched.schedule(pending, valid);
+            int picks = 0;
+            for (int lane = 0; lane < lanes; ++lane) {
+                EXPECT_EQ(got.select[lane], want[(size_t)lane])
+                    << "depth=" << depth << " trial=" << trial
+                    << " lane=" << lane;
+                picks += want[(size_t)lane] >= 0;
+            }
+            EXPECT_EQ(got.picks, picks);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+std::string
+kindLanesName(
+    const ::testing::TestParamInfo<std::tuple<InterconnectKind, int>> &info)
+{
+    static const char *const kNames[] = {"DenseOnly", "LookaheadOnly",
+                                         "Paper", "Crossbar"};
+    return std::string(kNames[(int)std::get<0>(info.param)]) + "_" +
+           std::to_string(std::get<1>(info.param)) + "lanes";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndLanes, SchedulerVsReference,
+    ::testing::Combine(::testing::Values(InterconnectKind::DenseOnly,
+                                         InterconnectKind::LookaheadOnly,
+                                         InterconnectKind::Paper,
+                                         InterconnectKind::Crossbar),
+                       ::testing::Values(1, 2, 3, 4, 5, 16, 32)),
+    kindLanesName);
 
 TEST(StagingWindow, AdvancesThroughDenseStream)
 {

@@ -4,7 +4,10 @@
  *
  * Key behaviours: one-side (B) extraction with a shared schedule per
  * row, lockstep window advance (min AS across rows), work-imbalance
- * stalls, and exact functional results for every PE in the grid.
+ * stalls, and exact functional results for every PE in the grid.  A
+ * seeded differential sweep checks Tile::run against the plain
+ * reference tile (reference_tile.hh) across rows, lanes, depths,
+ * sparsities and every interconnect.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "reference_tile.hh"
 #include "sim/tile.hh"
 
 namespace tensordash {
@@ -365,6 +369,79 @@ TEST(Tile, MultSlotAccountingClosesEveryCycle)
         }
     }
 }
+
+/** Differential sweep against the reference tile: (kind, lanes). */
+class TileVsReference : public ::testing::TestWithParam<
+    std::tuple<InterconnectKind, int>>
+{
+};
+
+TEST_P(TileVsReference, CyclesStatsAndOutputsMatch)
+{
+    auto [kind, lanes] = GetParam();
+    Rng rng(900 + (uint64_t)kind * 64 + (uint64_t)lanes);
+    for (int rows : {1, 3, 4, 5, 8, 16}) {
+        for (int depth = 1; depth <= 8; ++depth) {
+            for (double sparsity : {0.0, 0.5, 0.9, 0.99}) {
+                TileConfig cfg{.rows = rows, .cols = 2, .lanes = lanes,
+                               .depth = depth, .interconnect = kind};
+                Tile tile(cfg);
+                const int steps = rng.uniformInt(1, 40);
+                TileJob job = randomJob(rng, cfg, steps, sparsity, 0.3);
+                const reference::TileRun want =
+                    reference::runTile(cfg, job, true);
+
+                TileStats timing;
+                const uint64_t cycles = tile.run(job, timing);
+                TileStats valued;
+                std::vector<std::vector<double>> outputs;
+                const uint64_t valued_cycles =
+                    tile.run(job, valued, &outputs);
+
+                SCOPED_TRACE(::testing::Message()
+                             << "rows=" << rows << " depth=" << depth
+                             << " sparsity=" << sparsity
+                             << " steps=" << steps);
+                EXPECT_EQ(cycles, want.cycles);
+                EXPECT_EQ(valued_cycles, want.cycles);
+                for (const TileStats *got : {&timing, &valued}) {
+                    EXPECT_EQ(got->cycles, want.stats.cycles);
+                    EXPECT_EQ(got->dense_cycles, want.stats.dense_cycles);
+                    EXPECT_EQ(got->mult_ops, want.stats.mult_ops);
+                    EXPECT_EQ(got->idle_mult_slots,
+                              want.stats.idle_mult_slots);
+                    EXPECT_EQ(got->stall_cycles, want.stats.stall_cycles);
+                    EXPECT_EQ(got->b_rows_fetched,
+                              want.stats.b_rows_fetched);
+                    EXPECT_EQ(got->a_rows_fetched,
+                              want.stats.a_rows_fetched);
+                }
+                EXPECT_EQ(outputs, want.outputs);
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+std::string
+kindLanesName(
+    const ::testing::TestParamInfo<std::tuple<InterconnectKind, int>> &info)
+{
+    static const char *const kNames[] = {"DenseOnly", "LookaheadOnly",
+                                         "Paper", "Crossbar"};
+    return std::string(kNames[(int)std::get<0>(info.param)]) + "_" +
+           std::to_string(std::get<1>(info.param)) + "lanes";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndLanes, TileVsReference,
+    ::testing::Combine(::testing::Values(InterconnectKind::DenseOnly,
+                                         InterconnectKind::LookaheadOnly,
+                                         InterconnectKind::Paper,
+                                         InterconnectKind::Crossbar),
+                       ::testing::Values(1, 3, 4, 5, 12, 16, 32)),
+    kindLanesName);
 
 } // namespace
 } // namespace tensordash
