@@ -121,15 +121,15 @@ Tile::run(const TileJob &job, TileStats &stats,
         }
         picks += cycle_picks;
 
-        // The slowest row's AS: leading window steps no row still
-        // has pending.
-        int advance = 0;
-        for (; advance < valid; ++advance) {
-            uint64_t pending = 0;
-            for (int w = 0; w < words; ++w)
-                pending |= win[(size_t)w * stride + advance];
-            if (pending)
-                break;
+        // The slowest row's AS: the leading window steps that no
+        // packed word still has pending.
+        int advance = valid;
+        for (int w = 0; w < words; ++w) {
+            const uint64_t *z = win + (size_t)w * stride;
+            int as = 0;
+            while (as < advance && z[as] == 0)
+                ++as;
+            advance = as;
         }
         TD_ASSERT(advance > 0 || cycle_picks > 0,
                   "tile made no progress at step base %d", base);
