@@ -8,21 +8,6 @@
 
 namespace tensordash {
 
-namespace {
-
-/** Bits set in @p x.  Inline SWAR: the build targets baseline x86-64,
- * where std::popcount is a libgcc call. */
-inline int
-countPicks(uint64_t x)
-{
-    x -= (x >> 1) & 0x5555555555555555ull;
-    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-    return (int)((x * 0x0101010101010101ull) >> 56);
-}
-
-} // namespace
-
 Tile::Tile(const TileConfig &config)
     : config_(config),
       pattern_(config.lanes, config.depth, config.interconnect),
@@ -100,7 +85,7 @@ Tile::run(const TileJob &job, TileStats &stats,
             uint64_t *z = win + (size_t)w * stride;
             const uint64_t taken = scheduler_.resolve(
                 z, occupied(w), outputs ? select.data() : nullptr);
-            cycle_picks += (uint64_t)countPicks(taken);
+            cycle_picks += (uint64_t)std::popcount(taken);
             // Each PE accumulates its products in lane order, cycle
             // after cycle.
             for (int j = 0; outputs && j < per_word; ++j) {
